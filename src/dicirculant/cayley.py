@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import gcd
 
 from . import group
 from .group import Element
@@ -151,10 +152,20 @@ def validate_spec(n, R, T):
     violations = spec_violations(n, R, T)
     if violations:
         raise SpecValidationError(violations)
-    gens = [Element(r, False) for r in sorted(R)]
-    gens += [Element(t, True) for t in sorted(T)]
-    connected = group.generated_subgroup(gens, n).order == 4 * n if gens else False
-    return ConnectionSpec(n, R, T, connected)
+    return ConnectionSpec(n, R, T, generates_group(n, R, T))
+
+
+def generates_group(n, R, T):
+    """Whether a^R u a^T b generates Dic_n, by residue arithmetic.
+
+    a^t b * (a^t0 b)^-1 = a^(t - t0), so the generated subgroup is
+    <a^d, a^t0 b> with d = gcd(2n, R, T - t0), of order 4n/d; without T
+    it lies in <a>.  Hence the set generates iff T is non-empty and d = 1.
+    """
+    if not T:
+        return False
+    t0 = min(T)
+    return gcd(2 * n, *R, *(t - t0 for t in T)) == 1
 
 
 def vertex_index(g, n):

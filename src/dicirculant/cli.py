@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import classifier, fourier, group, search, structure
@@ -25,6 +26,10 @@ from .metrics import IntersectionArray, distance_partition, is_distance_regular
 EXIT_OK = 0
 EXIT_CROSS_CHECK = 1
 EXIT_USAGE = 2
+
+# survey(n) enumerates 4^n specs; survey(10) takes about 10 s and 100 MB
+# on a 2-core x86 VM, and each step in n costs three to five times more.
+MAX_SURVEY_N = 10
 
 CSV_COLUMNS = ["n", "R", "T", "connected", "drg", "array", "class",
                "bipartite", "antipodal", "primitive", "fourier_ok"]
@@ -188,12 +193,17 @@ def _requested_ns(args):
             raise UsageError("--n-range expects A..B")
         if a < 1 or b < a:
             raise UsageError("--n-range expects 1 <= A <= B")
-        return list(range(a, b + 1))
-    if args.n is None:
+        ns = list(range(a, b + 1))
+    elif args.n is None:
         raise UsageError("one of --n or --n-range is required")
-    if args.n < 1:
+    elif args.n < 1:
         raise UsageError("--n must be >= 1")
-    return [args.n]
+    else:
+        ns = [args.n]
+    if ns[-1] > MAX_SURVEY_N:
+        raise UsageError(f"n = {ns[-1]} means {4 ** ns[-1]:,} specs; "
+                         f"surveys stop at n = {MAX_SURVEY_N}")
+    return ns
 
 
 def cmd_search_ds(args):
@@ -321,8 +331,9 @@ def main(argv=None):
     if getattr(args, "workers", 1) is not None and getattr(args, "workers", 1) < 1:
         sys.stderr.write("error: --workers must be >= 1\n")
         return EXIT_USAGE
-    if getattr(args, "tolerance", 1.0) <= 0:
-        sys.stderr.write("error: --tolerance must be > 0\n")
+    tolerance = getattr(args, "tolerance", 1.0)
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        sys.stderr.write("error: --tolerance must be finite and > 0\n")
         return EXIT_USAGE
     try:
         return args.func(args)

@@ -6,8 +6,8 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from . import classifier, fourier, metrics, structure
-from .cayley import ConnectionSpec, build_graph, canonicalize, validate_spec
+from . import classifier, fourier, group, metrics, structure
+from .cayley import ConnectionSpec, build_graph, validate_spec
 from .classifier import classify
 from .fourier import DEFAULT_TOLERANCE
 from .metrics import IntersectionArray, distance_partition, is_distance_regular
@@ -22,21 +22,68 @@ def enumerate_specs(n, dedup=True):
     on the spec).  R is built from the generator pairs {i, 2n-i}
     (1 <= i <= n; {n} is a singleton) and T from the pairs {i, n+i}
     (0 <= i <= n-1), so R = -R and T = n + T hold by construction.
-    With dedup only specs that equal their canonical form are emitted.
+    Specs come in ascending (r_mask, t_mask) order, bit i-1 of r_mask
+    and bit i of t_mask selecting pair i.  With dedup only specs that
+    equal their canonical form are emitted: one per (u, v) orbit.
+    """
+    r_sets, t_sets = _pair_unions(n)
+    if dedup:
+        masks = _orbit_representatives(n, r_sets, t_sets)
+    else:
+        masks = ((r_mask, t_mask) for r_mask in range(1 << n)
+                 for t_mask in range(1 << n))
+    for r_mask, t_mask in masks:
+        yield validate_spec(n, r_sets[r_mask], t_sets[t_mask])
+
+
+def _pair_unions(n):
+    """The R and T sets of every mask over the generator pairs, indexed
+    by mask."""
+    m = 2 * n
+    r_pairs = [frozenset({i, m - i}) for i in range(1, n + 1)]
+    t_pairs = [frozenset({i, i + n}) for i in range(n)]
+    return (_subset_unions(r_pairs, frozenset()),
+            _subset_unions(t_pairs, frozenset()))
+
+
+def _subset_unions(parts, empty):
+    """Union of the parts that each mask selects, indexed by mask."""
+    unions = [empty]
+    for part in parts:
+        unions += [union | part for union in unions]
+    return unions
+
+
+def _orbit_representatives(n, r_sets, t_sets):
+    """(r_mask, t_mask) of the lex-least (sorted R, sorted T) in each
+    orbit of the (u, v) family, in ascending mask order.
+
+    The indices r_mask << n | t_mask are visited in key order, so the
+    first unmarked one is its orbit's least; every image of it under
+    the family is then marked.
     """
     m = 2 * n
-    r_pairs = [frozenset({i, (m - i) % m}) for i in range(1, n + 1)]
-    t_pairs = [frozenset({i, i + n}) for i in range(n)]
-    for r_mask in range(1 << len(r_pairs)):
-        R = frozenset().union(*(pair for b, pair in enumerate(r_pairs)
-                                if r_mask >> b & 1) or [frozenset()])
-        for t_mask in range(1 << len(t_pairs)):
-            T = frozenset().union(*(pair for b, pair in enumerate(t_pairs)
-                                    if t_mask >> b & 1) or [frozenset()])
-            spec = validate_spec(n, R, T)
-            if dedup and canonicalize(spec).sorted_sets() != spec.sorted_sets():
+    # (u, v) moves R pair i to the pair holding u*i and T pair i to
+    # pair (u*i + v) mod n; distinct maps as (R, T) bit permutations.
+    maps = {(tuple(min(p.u * i % m, -p.u * i % m) - 1 for i in range(1, n + 1)),
+             tuple((p.u * i + p.v) % n for i in range(n)))
+            for p in group.automorphism_params(n)}
+    # per map, the image of every r_mask and of every t_mask
+    tables = [tuple(_subset_unions([1 << b for b in perm], 0)
+                    for perm in perms) for perms in maps]
+    r_order = sorted(range(1 << n), key=lambda mask: sorted(r_sets[mask]))
+    t_order = sorted(range(1 << n), key=lambda mask: sorted(t_sets[mask]))
+    marked = bytearray(1 << 2 * n)
+    reps = []
+    for r_mask in r_order:
+        for t_mask in t_order:
+            if marked[r_mask << n | t_mask]:
                 continue
-            yield spec
+            reps.append(r_mask << n | t_mask)
+            for r_table, t_table in tables:
+                marked[r_table[r_mask] << n | t_table[t_mask]] = 1
+    low = (1 << n) - 1
+    return [(index >> n, index & low) for index in sorted(reps)]
 
 
 @dataclass(frozen=True)
@@ -147,8 +194,10 @@ def survey(n, dedup=True, tolerance=DEFAULT_TOLERANCE, workers=1):
     report = SurveyReport(n=n)
     specs = sorted(enumerate_specs(n, dedup=dedup),
                    key=lambda s: s.sorted_sets())
-    report.total_specs = sum(1 for _ in enumerate_specs(n, dedup=False))
-    report.canonical_classes = sum(1 for _ in enumerate_specs(n, dedup=True))
+    report.total_specs = 4 ** n
+    report.canonical_classes = (
+        len(specs) if dedup
+        else len(_orbit_representatives(n, *_pair_unions(n))))
     report.connected_specs = sum(1 for s in specs if s.connected)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -179,6 +228,9 @@ def search_difference_sets(table, v, k, lam, limit=None):
     up to right translation: only sets whose sorted index tuple is
     minimal among all right-translates Dg are returned.  Backtracking
     over k-subsets with partial difference-count pruning."""
+    if v < 1 or not 1 <= k <= v:
+        raise ParameterContradictionError(
+            f"need v >= 1 and 1 <= k <= v, got v = {v}, k = {k}")
     classifier.validate_group_table(table)
     if len(table) != v:
         raise ParameterContradictionError(f"group order {len(table)} != v = {v}")

@@ -109,6 +109,16 @@ class TestSurvey:
         code, _, err = run(capsys, "survey")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [["--n", "11"], ["--n-range", "1..11"]])
+    def test_oversized_n_is_usage_error(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated despite the size bound")
+        monkeypatch.setattr(search, "survey", refuse)
+        monkeypatch.setattr(search, "enumerate_specs", refuse)
+        code, out, err = run(capsys, "survey", *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert f"{4 ** 11:,} specs" in err
+
     def test_bad_workers_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "survey", "--n", "2", "--workers", "0")
         assert code == EXIT_USAGE
@@ -145,6 +155,12 @@ class TestSearchDS:
                            "--order", "7", "--k", "3", "--lam", "2")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("order", ["0", "7"])
+    def test_empty_set_is_usage_error(self, capsys, order):
+        code, out, _ = run(capsys, "search-ds", "--group", "cyclic",
+                           "--order", order, "--k", "0", "--lam", "0")
+        assert code == EXIT_USAGE and out == ""
+
     def test_dicyclic_order_must_be_multiple_of_four(self, capsys):
         code, _, err = run(capsys, "search-ds", "--group", "dicyclic",
                            "--order", "6", "--k", "3", "--lam", "1")
@@ -165,9 +181,10 @@ class TestFourier:
         assert payload["fourier_lemma_ok"] is True
 
     def test_bad_tolerance_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, "fourier", "--tolerance", "0",
-                         "n=2; R=1,3; T=0,2")
-        assert code == EXIT_USAGE
+        for tolerance in ("0", "nan", "inf", "-inf"):
+            code, out, _ = run(capsys, "fourier", "--tolerance", tolerance,
+                               "n=2; R=1,3; T=0,2")
+            assert code == EXIT_USAGE and out == "", tolerance
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from dicirculant import classifier, group, search
-from dicirculant.cayley import canonicalize, validate_spec
+from dicirculant.cayley import canonicalize, generates_group, validate_spec
 from dicirculant.classifier import cyclic_table
 from dicirculant.search import (ParameterContradictionError, enumerate_specs,
                                 search_difference_sets, survey)
@@ -27,20 +27,35 @@ class TestEnumeration:
             assert spec.R == frozenset((-r) % m for r in spec.R)
             assert spec.T == frozenset((t + spec.n) % m for t in spec.T)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_dedup_yields_distinct_canonical_forms(self, n):
-        canon = [canonicalize(s).sorted_sets()
-                 for s in enumerate_specs(n, dedup=True)]
-        assert len(canon) == len(set(canon))
-        assert all(c == s.sorted_sets()
-                   for c, s in zip(canon, enumerate_specs(n, dedup=True)))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_connectivity_matches_subgroup_closure(self, n):
+        # oracle: close the connection set under multiplication
+        for spec in enumerate_specs(n, dedup=False):
+            gens = [group.Element(r, False) for r in spec.R]
+            gens += [group.Element(t, True) for t in spec.T]
+            closed = bool(gens) and group.generated_subgroup(gens, n).order == 4 * n
+            assert generates_group(n, spec.R, spec.T) == spec.connected == closed
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_dedup_yields_distinct_canonical_forms(self, n):
+        # oracle: the mask loop filtered to specs equal to their canonical form
+        expected = [s for s in enumerate_specs(n, dedup=False)
+                    if canonicalize(s).sorted_sets() == s.sorted_sets()]
+        got = list(enumerate_specs(n, dedup=True))
+        assert [(s.sorted_sets(), s.connected) for s in got] \
+            == [(s.sorted_sets(), s.connected) for s in expected]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_dedup_covers_every_class(self, n):
         canon = {canonicalize(s).sorted_sets()
                  for s in enumerate_specs(n, dedup=False)}
         kept = {s.sorted_sets() for s in enumerate_specs(n, dedup=True)}
         assert canon == kept
+
+    @pytest.mark.parametrize("n, classes", [(1, 4), (2, 12), (3, 32), (4, 72),
+                                            (5, 144), (6, 624), (7, 800)])
+    def test_class_count_is_burnside_number(self, n, classes):
+        assert sum(1 for _ in enumerate_specs(n, dedup=True)) == classes
 
 
 class TestSurvey:
@@ -115,6 +130,11 @@ class TestDifferenceSetSearch:
             search_difference_sets(cyclic_table(7), 7, 3, 2)
         with pytest.raises(ParameterContradictionError):
             search_difference_sets(cyclic_table(6), 7, 3, 1)
+        # the empty set and an empty group are not difference sets
+        with pytest.raises(ParameterContradictionError):
+            search_difference_sets(cyclic_table(7), 7, 0, 0)
+        with pytest.raises(ParameterContradictionError):
+            search_difference_sets(cyclic_table(0), 0, 0, 0)
 
     def test_limit_respected(self):
         table, _ = group.multiplication_table(4)
