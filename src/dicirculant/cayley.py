@@ -58,19 +58,6 @@ class Graph:
         full = (1 << self.n_vertices) - 1
         return Graph((full & ~row & ~(1 << v)) for v, row in enumerate(self.rows))
 
-    def induced(self, vertices):
-        """Subgraph on the given vertices, reindexed in the given order."""
-        vertices = list(vertices)
-        pos = {v: i for i, v in enumerate(vertices)}
-        rows = []
-        for v in vertices:
-            row = 0
-            for w in bit_members(self.rows[v]):
-                if w in pos:
-                    row |= 1 << pos[w]
-            rows.append(row)
-        return Graph(rows)
-
     def edges(self):
         for u in range(self.n_vertices):
             for v in bit_members(self.rows[u]):
@@ -120,6 +107,11 @@ class ConnectionSpec:
     def sorted_sets(self):
         return tuple(sorted(self.R)), tuple(sorted(self.T))
 
+    def to_dict(self):
+        r, t = self.sorted_sets()
+        return {"n": self.n, "R": list(r), "T": list(t),
+                "connected": self.connected}
+
     def __repr__(self):
         r, t = self.sorted_sets()
         return (f"n={self.n}; R={','.join(map(str, r))}; "
@@ -166,6 +158,23 @@ def generates_group(n, R, T):
         return False
     t0 = min(T)
     return gcd(2 * n, *R, *(t - t0 for t in T)) == 1
+
+
+def is_subgroup(n, R, T):
+    """Whether a^R u a^T b is a subgroup of Dic_n, by residue arithmetic.
+
+    The cyclic part a^R must be <a^d> with d = gcd(2n, R), i.e. R = dZ_2n
+    (so 0 in R).  A non-empty T must be the coset t0 + R, and since
+    (a^t0 b)^2 = a^n, also d | n.
+    """
+    m = 2 * n
+    d = gcd(m, *R)
+    if set(R) != set(range(0, m, d)):
+        return False
+    if not T:
+        return True
+    t0 = min(T)
+    return n % d == 0 and set(T) == {(t0 + r) % m for r in R}
 
 
 def vertex_index(g, n):

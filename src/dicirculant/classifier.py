@@ -1,18 +1,19 @@
 """The classification criteria for distance-regular dicirculants.
 
-classify() uses only counting and structural criteria (no BFS), so the
-survey's comparison against the BFS-based distance-regularity test is a
-genuine cross-check between two independent code paths.
+classify() uses only counting criteria and residue arithmetic on the
+connection set (no graph is built), so the survey's comparison against
+the BFS-based distance-regularity test is a genuine cross-check between
+two independent code paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import group
-from .cayley import build_graph
-from .structure import _complete_multipartite_params
+from .cayley import is_subgroup
+from .fourier import PreconditionViolatedError
 
 COMPLETE = "CompleteGraph"
 MULTIPARTITE = "CompleteMultipartite"
@@ -25,10 +26,6 @@ class InvalidGroupTableError(ValueError):
 
 
 class DisconnectedSpecError(ValueError):
-    pass
-
-
-class PreconditionViolatedError(ValueError):
     pass
 
 
@@ -158,18 +155,20 @@ def condition_iii_prime(spec):
 
 def classify(spec):
     """Theorem-side classification of a connected spec: complete graph by
-    degree count, complete multipartite by complement clique
-    decomposition, the bipartite diameter-3 family by condition_iii,
-    otherwise not distance-regular."""
+    degree count, complete multipartite when Dic_n minus the connection
+    set is a subgroup (its cosets are the parts), the bipartite
+    diameter-3 family by condition_iii, otherwise not distance-regular."""
     if not spec.connected:
         raise DisconnectedSpecError(repr(spec))
     n = spec.n
     if spec.degree == 4 * n - 1:
         return Classification(COMPLETE, (4 * n,),
                               ("degree |R|+|T| = 4n-1",))
-    multipartite = _complete_multipartite_params(build_graph(spec))
-    if multipartite is not None and multipartite[0] >= 2 and multipartite[1] >= 2:
-        t, m = multipartite
+    if is_subgroup(n, set(range(2 * n)) - spec.R, set(range(2 * n)) - spec.T):
+        # a connected spec of degree < 4n-1 leaves a subgroup of order
+        # m >= 2 and index t >= 2
+        m = 4 * n - spec.degree
+        t = 4 * n // m
         return Classification(MULTIPARTITE, (t, m),
                               (f"complement is {t} disjoint K_{m}",))
     cond = condition_iii(spec)

@@ -14,9 +14,10 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
-from . import classifier, fourier, group, search, structure
+from . import classifier, fourier, group, search
 from .cayley import (SpecParseError, SpecValidationError, build_graph,
                      parse_spec)
 from .classifier import classify
@@ -27,8 +28,8 @@ EXIT_OK = 0
 EXIT_CROSS_CHECK = 1
 EXIT_USAGE = 2
 
-# survey(n) enumerates 4^n specs; survey(10) takes about 10 s and 100 MB
-# on a 2-core x86 VM, and each step in n costs three to five times more.
+# survey(n) enumerates 4^n specs; survey(10) takes about 6 s and 86 MB
+# on a 2-core x86 VM, and each step in n costs three to four times more.
 MAX_SURVEY_N = 10
 
 CSV_COLUMNS = ["n", "R", "T", "connected", "drg", "array", "class",
@@ -66,7 +67,7 @@ class UsageError(Exception):
 
 def cmd_check(args):
     spec = _parse_spec_arg(args.spec)
-    payload = {"schema_version": 1, "spec": _spec_payload(spec)}
+    payload = {"schema_version": 1, "spec": spec.to_dict()}
     exit_code = EXIT_OK
     if not spec.connected:
         payload["connected"] = False
@@ -113,7 +114,7 @@ def cmd_classify(args):
     if not spec.connected:
         raise UsageError("spec is disconnected; classification undefined")
     classification = classify(spec)
-    payload = {"schema_version": 1, "spec": _spec_payload(spec),
+    payload = {"schema_version": 1, "spec": spec.to_dict(),
                "classification": {"tag": classification.tag,
                                   "params": list(classification.params),
                                   "evidence": list(classification.evidence)}}
@@ -123,12 +124,6 @@ def cmd_classify(args):
         _write(f"{classification!r}\n  evidence: "
                + "; ".join(classification.evidence) + "\n", args.out)
     return EXIT_OK
-
-
-def _spec_payload(spec):
-    r, t = spec.sorted_sets()
-    return {"n": spec.n, "R": list(r), "T": list(t),
-            "connected": spec.connected}
 
 
 def _survey_csv(reports):
@@ -213,6 +208,8 @@ def cmd_search_ds(args):
         if args.order % 4 != 0:
             raise UsageError("dicyclic groups have order 4n")
         table, _ = group.multiplication_table(args.order // 4)
+    if args.limit is not None and args.limit < 1:
+        raise UsageError("--limit must be >= 1")
     try:
         sets = search.search_difference_sets(table, args.order, args.k,
                                              args.lam, limit=args.limit)
@@ -240,7 +237,7 @@ def cmd_fourier(args):
     orbits = fourier.unit_orbits(m)
     payload = {
         "schema_version": 1,
-        "spec": _spec_payload(spec),
+        "spec": spec.to_dict(),
         "dft_R": [round_complex(z) for z in r.values],
         "dft_T": [round_complex(z) for z in t.values],
         "unit_orbits": [{"order": order, "members": sorted(members)}
@@ -328,8 +325,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if getattr(args, "workers", 1) is not None and getattr(args, "workers", 1) < 1:
-        sys.stderr.write("error: --workers must be >= 1\n")
+    # the process pool starts all its workers at the first task
+    workers, cpus = getattr(args, "workers", 1), os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        sys.stderr.write(f"error: --workers must be in 1..{cpus} (the CPU count)\n")
         return EXIT_USAGE
     tolerance = getattr(args, "tolerance", 1.0)
     if not (math.isfinite(tolerance) and tolerance > 0):

@@ -29,10 +29,6 @@ class PreconditionViolatedError(ValueError):
     pass
 
 
-class NotDistanceRegularError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class IntegerFunction:
     values: tuple

@@ -60,16 +60,6 @@ def inverse(g, n):
     return Element((g.exp + n) % m, True)
 
 
-def power(g, e, n):
-    result = IDENTITY
-    base = g
-    if e < 0:
-        base, e = inverse(g, n), -e
-    for _ in range(e):
-        result = multiply(result, base, n)
-    return result
-
-
 def element_order(g, n):
     result = g
     order = 1

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cayley import Graph, bit_members
+from .cayley import bit_members
 
 UNREACHABLE = -1
 

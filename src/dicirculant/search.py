@@ -6,8 +6,9 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from . import classifier, fourier, group, metrics, structure
-from .cayley import ConnectionSpec, build_graph, validate_spec
+from . import classifier, fourier, group, structure
+from .cayley import (ConnectionSpec, build_graph, generates_group, is_subgroup,
+                     validate_spec)
 from .classifier import classify
 from .fourier import DEFAULT_TOLERANCE
 from .metrics import IntersectionArray, distance_partition, is_distance_regular
@@ -120,11 +121,6 @@ class SurveyReport:
     cross_check_failures: list = field(default_factory=list)
 
     def to_dict(self, include_rows=False):
-        def spec_dict(spec):
-            r, t = spec.sorted_sets()
-            return {"n": spec.n, "R": list(r), "T": list(t),
-                    "connected": spec.connected}
-
         out = {
             "schema_version": 1,
             "n": self.n,
@@ -133,7 +129,7 @@ class SurveyReport:
             "canonical_classes": self.canonical_classes,
             "drg_instances": [
                 {
-                    "spec": spec_dict(inst.spec),
+                    "spec": inst.spec.to_dict(),
                     "intersection_array": {"b": list(inst.array.b),
                                            "c": list(inst.array.c)},
                     "classification": {"tag": inst.classification.tag,
@@ -152,7 +148,7 @@ class SurveyReport:
         }
         if include_rows:
             out["rows"] = [
-                {"spec": spec_dict(row.spec), "drg": row.drg,
+                {"spec": row.spec.to_dict(), "drg": row.drg,
                  "array": repr(row.array) if row.array else None,
                  "class": repr(row.classification) if row.classification else None}
                 for row in self.rows
@@ -169,11 +165,15 @@ def evaluate_spec(spec, tolerance=DEFAULT_TOLERANCE):
     classification = classify(spec)
     if not isinstance(drg, IntersectionArray):
         return SpecRow(spec, False, None, classification)
+    # Bipartite iff every a_i = 0.  Since d(x, y) = d(1, x^-1 y) in a
+    # Cayley graph, the other two flags are group facts about the shells
+    # S_i = a^R_i u a^T_i b of the one BFS.
     d = drg.d
-    bip = structure.bipartition(g) is not None
-    antip = structure.antipodal_classes(g, d) is not None
-    prim = structure.is_primitive(g, d)
     dp = distance_partition(spec, g)
+    bip = all(drg.a(i) == 0 for i in range(d + 1))
+    antip = is_subgroup(spec.n, dp.r_sets[0] | dp.r_sets[d], dp.t_sets[d])
+    prim = all(generates_group(spec.n, dp.r_sets[i], dp.t_sets[i])
+               for i in range(1, d + 1))
     fourier_ok = fourier.check_fourier_lemma(spec, dp, drg, tolerance)
     family = structure.recognize_family(g)
     instance = DrgInstance(spec, drg, classification, bip, antip, prim,

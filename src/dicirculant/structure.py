@@ -5,12 +5,10 @@ for the named distance-regular families of circulants."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import networkx as nx
 
 from .cayley import Graph, bit_members, bitset, graph_from_edges
-from .metrics import bfs_distances, distance_shells
+from .fourier import _is_prime
+from .metrics import bfs_distances
 
 
 class NotBipartiteError(ValueError):
@@ -204,28 +202,10 @@ def _is_crown(g):
     return m
 
 
-def _is_prime(q):
-    if q < 2:
-        return False
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def paley_graph(q):
     squares = {(x * x) % q for x in range(1, q)}
     return graph_from_edges(q, [(u, v) for u in range(q) for v in range(u + 1, q)
                                 if (u - v) % q in squares])
-
-
-def _to_networkx(g):
-    gx = nx.Graph()
-    gx.add_nodes_from(range(g.n_vertices))
-    gx.add_edges_from(g.edges())
-    return gx
 
 
 def _is_paley(g):
@@ -234,7 +214,12 @@ def _is_paley(g):
         return None
     if any(g.degree(v) != (q - 1) // 2 for v in range(q)):
         return None
-    if nx.is_isomorphic(_to_networkx(g), _to_networkx(paley_graph(q))):
+    # Imported here: networkx is half of the package's memory, and only a
+    # prime order needs it, which no dicirculant (4n vertices) has.  The
+    # degree check leaves no isolated vertex for the edge lists to miss.
+    import networkx as nx
+    if nx.is_isomorphic(nx.Graph(list(g.edges())),
+                        nx.Graph(list(paley_graph(q).edges()))):
         return q
     return None
 

@@ -4,7 +4,7 @@ from conftest import all_valid_specs
 from dicirculant import cayley, group
 from dicirculant.cayley import (SpecParseError, SpecValidationError,
                                 build_graph, canonicalize, definitional_graph,
-                                parse_spec, validate_spec)
+                                is_subgroup, parse_spec, validate_spec)
 
 
 class TestValidation:
@@ -76,6 +76,30 @@ class TestBuild:
         for spec in all_valid_specs(n):
             g = build_graph(spec)
             assert all(g.degree(v) == spec.degree for v in range(4 * n))
+
+
+class TestIsSubgroup:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_closure(self, n):
+        # oracle: a set is a subgroup iff it equals its own closure
+        m = 2 * n
+        for r_mask in range(1, 1 << m, 2):  # every R containing 0
+            R = {i for i in range(m) if r_mask >> i & 1}
+            for t_mask in range(1 << m):
+                T = {i for i in range(m) if t_mask >> i & 1}
+                members = ({group.Element(r, False) for r in R}
+                           | {group.Element(t, True) for t in T})
+                closed = group.generated_subgroup(members, n).members == members
+                assert is_subgroup(n, R, T) == closed, (R, T)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_subgroup_of_order(self, n):
+        for m in range(1, 4 * n + 1):
+            if (4 * n) % m:
+                continue
+            members = group.subgroup_of_order(n, m).members
+            assert is_subgroup(n, {g.exp for g in members if not g.flip},
+                               {g.exp for g in members if g.flip}), m
 
 
 class TestCanonicalize:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from conftest import all_valid_specs
-from dicirculant import classifier, group
+from dicirculant import cayley, classifier, fourier, group, structure
 from dicirculant.cayley import build_graph, validate_spec
 from dicirculant.classifier import (DisconnectedSpecError,
                                     InvalidGroupTableError,
@@ -111,6 +111,9 @@ class TestConditionIIIPrime:
         with pytest.raises(PreconditionViolatedError):
             condition_iii_prime(validate_spec(2, set(), {1, 3}))
 
+    def test_one_precondition_error(self):
+        assert PreconditionViolatedError is fourier.PreconditionViolatedError
+
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_agrees_with_counting_criterion(self, n):
         odd = range(1, 2 * n, 2)
@@ -146,6 +149,27 @@ class TestClassify:
     def test_disconnected_raises(self):
         with pytest.raises(DisconnectedSpecError):
             classify(validate_spec(2, {2}, set()))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_multipartite_matches_complement_cliques(self, n):
+        # oracle: the clique decomposition of the complement graph
+        for spec in all_valid_specs(n):
+            if not spec.connected or spec.degree == 4 * n - 1:
+                continue
+            params = structure._complete_multipartite_params(build_graph(spec))
+            result = classify(spec)
+            assert (result.tag == classifier.MULTIPARTITE) == (params is not None)
+            if params is not None:
+                assert result.params == params
+
+    def test_builds_no_graph(self, monkeypatch):
+        def refuse(self, rows):
+            raise AssertionError("classify built a graph")
+        specs = [spec for n in range(1, 6) for spec in all_valid_specs(n)
+                 if spec.connected]
+        monkeypatch.setattr(cayley.Graph, "__init__", refuse)
+        for spec in specs:
+            classify(spec)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_biconditional_with_bfs(self, n):

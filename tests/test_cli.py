@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
@@ -123,6 +124,15 @@ class TestSurvey:
         code, _, _ = run(capsys, "survey", "--n", "2", "--workers", "0")
         assert code == EXIT_USAGE
 
+    def test_workers_above_cpu_count_is_usage_error(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("surveyed despite the workers bound")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(search, "survey", refuse)
+        code, out, err = run(capsys, "survey", "--n", "2", "--workers", "3")
+        assert code == EXIT_USAGE and out == ""
+        assert "1..2" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "survey", "--n", "2", "--format", "json",
@@ -160,6 +170,14 @@ class TestSearchDS:
         code, out, _ = run(capsys, "search-ds", "--group", "cyclic",
                            "--order", order, "--k", "0", "--lam", "0")
         assert code == EXIT_USAGE and out == ""
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_is_usage_error(self, capsys, limit):
+        code, out, err = run(capsys, "search-ds", "--group", "cyclic",
+                             "--order", "7", "--k", "3", "--lam", "1",
+                             "--limit", limit)
+        assert code == EXIT_USAGE and out == ""
+        assert "--limit" in err
 
     def test_dicyclic_order_must_be_multiple_of_four(self, capsys):
         code, _, err = run(capsys, "search-ds", "--group", "dicyclic",

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from dicirculant import classifier, group, search
-from dicirculant.cayley import canonicalize, generates_group, validate_spec
+from dicirculant import classifier, group, search, structure
+from dicirculant.cayley import (build_graph, canonicalize, generates_group,
+                                validate_spec)
 from dicirculant.classifier import cyclic_table
 from dicirculant.search import (ParameterContradictionError, enumerate_specs,
                                 search_difference_sets, survey)
@@ -87,6 +88,15 @@ class TestSurvey:
     def test_every_instance_passes_fourier(self, surveys_upto_6):
         for report in surveys_upto_6.values():
             assert all(inst.fourier_ok for inst in report.drg_instances)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_flags_match_generic_routines(self, n):
+        for inst in survey(n).drg_instances:
+            g = build_graph(inst.spec)
+            d = inst.array.d
+            assert inst.bipartite == (structure.bipartition(g) is not None)
+            assert inst.antipodal == (structure.antipodal_classes(g, d) is not None)
+            assert inst.primitive == structure.is_primitive(g, d)
 
     def test_deterministic_json(self):
         a = json.dumps(survey(3).to_dict(include_rows=True), sort_keys=True)
