@@ -28,7 +28,7 @@ EXIT_OK = 0
 EXIT_CROSS_CHECK = 1
 EXIT_USAGE = 2
 
-# survey(n) enumerates 4^n specs; survey(10) takes about 6 s and 86 MB
+# survey(n) enumerates 4^n specs; survey(10) takes about 3 s and 69 MB
 # on a 2-core x86 VM, and each step in n costs three to four times more.
 MAX_SURVEY_N = 10
 

@@ -156,6 +156,21 @@ class SurveyReport:
         return out
 
 
+def shell_flags(n, dp):
+    """(antipodal, primitive) of Cay(Dic_n, S) from its distance partition.
+
+    Since d(x, y) = d(1, x^-1 y) in a Cayley graph, the fibre of 1 is
+    {1} u S_d and the distance-i graph is Cay(Dic_n, S_i), where
+    S_i = a^R_i u a^T_i b.  So the graph is antipodal iff {1} u S_d is a
+    subgroup, and primitive iff every shell S_1..S_d generates Dic_n.
+    """
+    d = dp.diameter
+    antipodal = is_subgroup(n, dp.r_sets[0] | dp.r_sets[d], dp.t_sets[d])
+    primitive = all(generates_group(n, dp.r_sets[i], dp.t_sets[i])
+                    for i in range(1, d + 1))
+    return antipodal, primitive
+
+
 def evaluate_spec(spec, tolerance=DEFAULT_TOLERANCE):
     """BFS truth, classification, and structure flags for one spec."""
     if not spec.connected:
@@ -165,15 +180,9 @@ def evaluate_spec(spec, tolerance=DEFAULT_TOLERANCE):
     classification = classify(spec)
     if not isinstance(drg, IntersectionArray):
         return SpecRow(spec, False, None, classification)
-    # Bipartite iff every a_i = 0.  Since d(x, y) = d(1, x^-1 y) in a
-    # Cayley graph, the other two flags are group facts about the shells
-    # S_i = a^R_i u a^T_i b of the one BFS.
-    d = drg.d
     dp = distance_partition(spec, g)
-    bip = all(drg.a(i) == 0 for i in range(d + 1))
-    antip = is_subgroup(spec.n, dp.r_sets[0] | dp.r_sets[d], dp.t_sets[d])
-    prim = all(generates_group(spec.n, dp.r_sets[i], dp.t_sets[i])
-               for i in range(1, d + 1))
+    bip = all(drg.a(i) == 0 for i in range(drg.d + 1))
+    antip, prim = shell_flags(spec.n, dp)
     fourier_ok = fourier.check_fourier_lemma(spec, dp, drg, tolerance)
     family = structure.recognize_family(g)
     instance = DrgInstance(spec, drg, classification, bip, antip, prim,

@@ -208,18 +208,25 @@ def paley_graph(q):
                                 if (u - v) % q in squares])
 
 
+def _to_networkx(g):
+    import networkx as nx  # see _is_paley
+    gx = nx.Graph()
+    gx.add_nodes_from(range(g.n_vertices))
+    gx.add_edges_from(g.edges())
+    return gx
+
+
 def _is_paley(g):
     q = g.n_vertices
     if not (_is_prime(q) and q % 4 == 1):
         return None
     if any(g.degree(v) != (q - 1) // 2 for v in range(q)):
         return None
-    # Imported here: networkx is half of the package's memory, and only a
-    # prime order needs it, which no dicirculant (4n vertices) has.  The
-    # degree check leaves no isolated vertex for the edge lists to miss.
+    # networkx is imported here, not at the top: it is half of the
+    # package's memory, and no dicirculant (4n vertices) has the prime
+    # order that reaches this line.
     import networkx as nx
-    if nx.is_isomorphic(nx.Graph(list(g.edges())),
-                        nx.Graph(list(paley_graph(q).edges()))):
+    if nx.is_isomorphic(_to_networkx(g), _to_networkx(paley_graph(q))):
         return q
     return None
 

@@ -2,9 +2,9 @@ import pytest
 
 from conftest import all_valid_specs
 from dicirculant import cayley, group, structure
-from dicirculant.cayley import (bitset, build_graph, generates_group,
-                                graph_from_edges, is_subgroup, validate_spec)
+from dicirculant.cayley import bitset, build_graph, graph_from_edges, validate_spec
 from dicirculant.metrics import distance_partition
+from dicirculant.search import shell_flags
 from dicirculant.structure import (NotBipartiteError, antipodal_classes,
                                    bipartition, distance_i_graph, halved_graphs,
                                    is_equitable, is_primitive, recognize_family)
@@ -93,8 +93,6 @@ class TestPrimitivity:
 
 class TestShellResidueForms:
     def test_match_generic_routines(self):
-        # In a Cayley graph the fibre of 1 is {1} u S_d and the distance-i
-        # graph is Cay(Dic_n, S_i), so both flags follow from the shells.
         seen = set()
         for n in range(1, 6):
             for spec in all_valid_specs(n):
@@ -103,10 +101,7 @@ class TestShellResidueForms:
                 g = build_graph(spec)
                 dp = distance_partition(spec, g)
                 d = dp.diameter
-                antipodal = is_subgroup(n, dp.r_sets[0] | dp.r_sets[d],
-                                        dp.t_sets[d])
-                primitive = all(generates_group(n, dp.r_sets[i], dp.t_sets[i])
-                                for i in range(1, d + 1))
+                antipodal, primitive = shell_flags(n, dp)
                 assert antipodal == (antipodal_classes(g, d) is not None), spec
                 assert primitive == is_primitive(g, d), spec
                 seen.add((antipodal, primitive))
