@@ -45,9 +45,6 @@ class Graph:
     def n_vertices(self):
         return len(self.rows)
 
-    def has_edge(self, u, v):
-        return bool(self.rows[u] >> v & 1)
-
     def degree(self, v):
         return self.rows[v].bit_count()
 

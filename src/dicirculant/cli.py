@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 cross-check failure (a classify-vs-BFS
-disagreement, i.e. a classification-theorem alarm), 2 usage error.
+disagreement, i.e. a classification-theorem alarm), 2 usage error
+(bad arguments, an invalid or oversized spec, an unwritable --out).
 JSON output carries schema_version 1; sets are sorted integer arrays
 and complex values are [re, im] pairs rounded to 12 digits.  Text
 output is human-oriented and not a stable contract.
@@ -18,11 +19,9 @@ import os
 import sys
 
 from . import classifier, fourier, group, search
-from .cayley import (SpecParseError, SpecValidationError, build_graph,
-                     parse_spec)
+from .cayley import SpecParseError, SpecValidationError, parse_spec
 from .classifier import classify
 from .fourier import DEFAULT_TOLERANCE
-from .metrics import IntersectionArray, distance_partition, is_distance_regular
 
 EXIT_OK = 0
 EXIT_CROSS_CHECK = 1
@@ -31,6 +30,8 @@ EXIT_USAGE = 2
 # survey(n) enumerates 4^n specs; survey(10) takes about 3 s and 69 MB
 # on a 2-core x86 VM, and each step in n costs three to four times more.
 MAX_SURVEY_N = 10
+# check and fourier cost n^2; at n = 512 each takes 1-2 s on an x86 VM.
+MAX_SPEC_N = 512
 
 CSV_COLUMNS = ["n", "R", "T", "connected", "drg", "array", "class",
                "bipartite", "antipodal", "primitive", "fourier_ok"]
@@ -46,19 +47,26 @@ def round_complex(z, digits=12):
 
 def _write(text, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out_path}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
 
 def _parse_spec_arg(text):
     try:
-        return parse_spec(text)
+        spec = parse_spec(text)
     except SpecParseError as exc:
         raise UsageError(f"malformed spec: {exc}")
     except SpecValidationError as exc:
         raise UsageError("invalid spec: " + ", ".join(exc.violations))
+    if spec.n > MAX_SPEC_N:
+        raise UsageError(f"n = {spec.n} means a graph on {4 * spec.n:,} "
+                         f"vertices; spec commands stop at n = {MAX_SPEC_N}")
+    return spec
 
 
 class UsageError(Exception):
@@ -73,20 +81,14 @@ def cmd_check(args):
         payload["connected"] = False
         payload["note"] = "disconnected; distance-regularity undefined"
     else:
-        g = build_graph(spec)
-        drg = is_distance_regular(g, vertex_transitive_hint=True)
-        classification = classify(spec)
-        is_drg = isinstance(drg, IntersectionArray)
-        payload["drg"] = is_drg
-        payload["intersection_array"] = (
-            {"b": list(drg.b), "c": list(drg.c)} if is_drg else None)
-        if not is_drg:
-            payload["witness"] = {"u": drg.u, "v": drg.v, "distance": drg.distance,
-                                  "expected": list(drg.expected),
-                                  "found": list(drg.found)}
-        payload["classification"] = {"tag": classification.tag,
-                                     "params": list(classification.params)}
-        if is_drg != (classification.tag != classifier.NOT_DRG):
+        row = search.evaluate_spec(spec)
+        payload["drg"] = row.drg
+        payload.update(search.bfs_verdict(row))
+        if row.drg:
+            del payload["witness"]
+        payload["classification"] = {"tag": row.classification.tag,
+                                     "params": list(row.classification.params)}
+        if row.cross_check_failed:
             payload["cross_check_failure"] = True
             exit_code = EXIT_CROSS_CHECK
     if args.format == "json":
@@ -248,13 +250,9 @@ def cmd_fourier(args):
             for div in range(1, m + 1) if m % div == 0
         },
     }
-    if spec.connected:
-        g = build_graph(spec)
-        drg = is_distance_regular(g, vertex_transitive_hint=True)
-        if isinstance(drg, IntersectionArray):
-            dp = distance_partition(spec, g)
-            payload["fourier_lemma_ok"] = fourier.check_fourier_lemma(
-                spec, dp, drg, args.tolerance)
+    instance = search.evaluate_spec(spec, args.tolerance).instance
+    if instance is not None:
+        payload["fourier_lemma_ok"] = instance.fourier_ok
     if args.format == "json":
         _write(dump_json(payload), args.out)
     else:

@@ -60,10 +60,6 @@ class FourierVector:
     modulus: int
     tolerance: float = DEFAULT_TOLERANCE
 
-    def close_to(self, other, tol=None):
-        tol = self.tolerance if tol is None else tol
-        return all(abs(a - b) <= tol for a, b in zip(self.values, other))
-
 
 def dft(f, tolerance=DEFAULT_TOLERANCE):
     """(Ff)(z) = sum_i f(i) w^(iz) with w the primitive m-th root of

@@ -33,10 +33,6 @@ class Element:
 IDENTITY = Element(0, False)
 
 
-def make_element(exp, flip, n):
-    return Element(exp % (2 * n), bool(flip))
-
-
 def elements(n):
     """All 4n elements, cyclic part first, in exponent order."""
     return [Element(e, f) for f in (False, True) for e in range(2 * n)]

@@ -47,10 +47,9 @@ def distance_shells(g, v):
 
 @dataclass(frozen=True)
 class DistancePartition:
-    """Distance shells from a base vertex of a dicirculant, together with
+    """Distance shells from the identity (vertex 0) of a dicirculant, with
     the exponent sets R_j = {i : a^i in N_j} and T_j = {i : a^i b in N_j}."""
 
-    base: int
     shells: tuple
     r_sets: tuple  # tuple of frozensets
     t_sets: tuple
@@ -60,14 +59,14 @@ class DistancePartition:
         return len(self.shells) - 1
 
 
-def distance_partition(spec, g, base=0):
-    shells = distance_shells(g, base)
+def distance_partition(spec, g):
+    shells = distance_shells(g, 0)
     m = 2 * spec.n
     r_sets, t_sets = [], []
     for shell in shells:
         r_sets.append(frozenset(v for v in bit_members(shell) if v < m))
         t_sets.append(frozenset(v - m for v in bit_members(shell) if v >= m))
-    return DistancePartition(base, tuple(shells), tuple(r_sets), tuple(t_sets))
+    return DistancePartition(tuple(shells), tuple(r_sets), tuple(t_sets))
 
 
 def intersection_numbers(g, u, v):

@@ -5,13 +5,15 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import classifier, fourier, group, structure
 from .cayley import (ConnectionSpec, build_graph, generates_group, is_subgroup,
                      validate_spec)
 from .classifier import classify
 from .fourier import DEFAULT_TOLERANCE
-from .metrics import IntersectionArray, distance_partition, is_distance_regular
+from .metrics import (IntersectionArray, NotDRGWitness, distance_partition,
+                      is_distance_regular)
 
 
 class ParameterContradictionError(ValueError):
@@ -101,13 +103,31 @@ class DrgInstance:
 
 @dataclass(frozen=True)
 class SpecRow:
-    """One line of the survey: a spec and everything measured about it."""
+    """One evaluated spec (a survey line): everything measured about it."""
 
     spec: ConnectionSpec
     drg: bool
     array: IntersectionArray = None
     classification: classifier.Classification = None
     instance: DrgInstance = None
+    witness: NotDRGWitness = None
+
+    @property
+    def cross_check_failed(self):
+        """The classifier and the BFS test disagree on a connected spec:
+        the counterexample alarm."""
+        return (self.spec.connected
+                and (self.classification.tag != classifier.NOT_DRG) != self.drg)
+
+
+def bfs_verdict(row):
+    """The BFS side of a row as JSON values: a DRG's intersection array
+    and a connected non-DRG's witness pair, each None when absent."""
+    a, w = row.array, row.witness
+    return {"intersection_array": {"b": list(a.b), "c": list(a.c)} if a else None,
+            "witness": {"u": w.u, "v": w.v, "distance": w.distance,
+                        "expected": list(w.expected),
+                        "found": list(w.found)} if w else None}
 
 
 @dataclass
@@ -179,7 +199,7 @@ def evaluate_spec(spec, tolerance=DEFAULT_TOLERANCE):
     drg = is_distance_regular(g, vertex_transitive_hint=True)
     classification = classify(spec)
     if not isinstance(drg, IntersectionArray):
-        return SpecRow(spec, False, None, classification)
+        return SpecRow(spec, False, None, classification, witness=drg)
     dp = distance_partition(spec, g)
     bip = all(drg.a(i) == 0 for i in range(drg.d + 1))
     antip, prim = shell_flags(spec.n, dp)
@@ -188,11 +208,6 @@ def evaluate_spec(spec, tolerance=DEFAULT_TOLERANCE):
     instance = DrgInstance(spec, drg, classification, bip, antip, prim,
                            fourier_ok, family)
     return SpecRow(spec, True, drg, classification, instance)
-
-
-def _eval_for_pool(args):
-    spec, tolerance = args
-    return evaluate_spec(spec, tolerance)
 
 
 def survey(n, dedup=True, tolerance=DEFAULT_TOLERANCE, workers=1):
@@ -208,24 +223,20 @@ def survey(n, dedup=True, tolerance=DEFAULT_TOLERANCE, workers=1):
         len(specs) if dedup
         else len(_orbit_representatives(n, *_pair_unions(n))))
     report.connected_specs = sum(1 for s in specs if s.connected)
+    evaluate = partial(evaluate_spec, tolerance=tolerance)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_eval_for_pool,
-                                 [(s, tolerance) for s in specs],
-                                 chunksize=16))
+            report.rows = list(pool.map(evaluate, specs, chunksize=16))
     else:
-        rows = [evaluate_spec(s, tolerance) for s in specs]
-    rows.sort(key=lambda row: row.spec.sorted_sets())
-    for row in rows:
-        report.rows.append(row)
-        if not row.spec.connected:
-            continue
-        classifier_says_drg = row.classification.tag != classifier.NOT_DRG
-        if classifier_says_drg != row.drg:
+        report.rows = list(map(evaluate, specs))
+    for row in report.rows:
+        if row.cross_check_failed:
             report.cross_check_failures.append({
                 "spec": repr(row.spec),
                 "bfs_drg": row.drg,
                 "classifier_tag": row.classification.tag,
+                "classifier_evidence": list(row.classification.evidence),
+                **bfs_verdict(row),
             })
         if row.instance is not None:
             report.drg_instances.append(row.instance)

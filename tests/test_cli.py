@@ -57,6 +57,18 @@ class TestCheck:
         assert code == EXIT_OK
         assert json.loads(out)["connected"] is False
 
+    @pytest.mark.parametrize("command", ["check", "classify", "fourier"])
+    def test_oversized_spec_is_usage_error(self, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated despite the size bound")
+        monkeypatch.setattr(search, "evaluate_spec", refuse)
+        monkeypatch.setattr(cli, "classify", refuse)
+        code, out, err = run(capsys, command, "n=513; R=1,1025; T=0,513")
+        assert code == EXIT_USAGE and out == ""
+        assert f"{4 * 513:,} vertices" in err
+        assert cli._parse_spec_arg("n=512; R=1,1023; T=0,512").n \
+            == cli.MAX_SPEC_N
+
 
 class TestClassify:
     def test_evidence_in_json(self, capsys):
@@ -140,15 +152,55 @@ class TestSurvey:
         assert code == EXIT_OK and out == ""
         assert json.loads(target.read_text())["schema_version"] == 1
 
+    @pytest.mark.parametrize("argv", [["survey", "--n", "2"],
+                                      ["check", "n=2; R=1,3; T=0,1,2,3"]])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == EXIT_USAGE and out == ""
+        assert str(target) in err
+
     def test_forced_disagreement_exits_one(self, capsys, monkeypatch):
         # fault injection: a classifier that calls everything non-DRG must
-        # trip the cross-check exit code
+        # trip the cross-check exit code, in survey and in check alike
         monkeypatch.setattr(
             search, "classify",
             lambda spec: Classification("NotDistanceRegular", (), ("forced",)))
         code, out, _ = run(capsys, "survey", "--n", "2")
         assert code == EXIT_CROSS_CHECK
         assert "CROSS-CHECK FAILURES" in out
+        spec = "n=2; R=1,3; T=0,1,2,3"
+        code, out, _ = run(capsys, "survey", "--n", "2", "--format", "json")
+        assert code == EXIT_CROSS_CHECK
+        records = json.loads(out)["surveys"][0]["cross_check_failures"]
+        assert next(r for r in records if r["spec"] == spec) == {
+            "spec": spec, "bfs_drg": True,
+            "classifier_tag": "NotDistanceRegular",
+            "classifier_evidence": ["forced"],
+            "intersection_array": {"b": [6, 1], "c": [1, 6]},
+            "witness": None}
+        code, out, _ = run(capsys, "check", "--format", "json", spec)
+        assert code == EXIT_CROSS_CHECK
+        assert json.loads(out)["cross_check_failure"] is True
+
+    def test_forced_drg_record_carries_witness(self, capsys, monkeypatch):
+        # the other direction: a classifier that calls everything complete
+        monkeypatch.setattr(
+            search, "classify",
+            lambda spec: Classification("CompleteGraph", (4 * spec.n,),
+                                        ("forced",)))
+        code, out, _ = run(capsys, "survey", "--n", "2", "--format", "json")
+        assert code == EXIT_CROSS_CHECK
+        records = json.loads(out)["surveys"][0]["cross_check_failures"]
+        record = next(r for r in records if r["spec"] == "n=2; R=2; T=0,1,2,3")
+        assert record["bfs_drg"] is False
+        assert record["intersection_array"] is None
+        assert record["classifier_evidence"] == ["forced"]
+        code, out, _ = run(capsys, "check", "--format", "json", record["spec"])
+        assert code == EXIT_CROSS_CHECK
+        assert record["witness"] == json.loads(out)["witness"] == {
+            "u": 0, "v": 4, "distance": 1,
+            "expected": [1, 4, 0], "found": [1, 2, 2]}
 
 
 class TestSearchDS:

@@ -6,6 +6,7 @@ from dicirculant import classifier, group, search, structure
 from dicirculant.cayley import (build_graph, canonicalize, generates_group,
                                 validate_spec)
 from dicirculant.classifier import cyclic_table
+from dicirculant.metrics import is_distance_regular
 from dicirculant.search import (ParameterContradictionError, enumerate_specs,
                                 search_difference_sets, survey)
 
@@ -97,6 +98,19 @@ class TestSurvey:
             assert inst.bipartite == (structure.bipartition(g) is not None)
             assert inst.antipodal == (structure.antipodal_classes(g, d) is not None)
             assert inst.primitive == structure.is_primitive(g, d)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_witness_is_the_bfs_witness(self, n):
+        connected_non_drg = 0
+        for spec in enumerate_specs(n, dedup=False):
+            row = search.evaluate_spec(spec)
+            if spec.connected and not row.drg:
+                connected_non_drg += 1
+                assert row.witness == is_distance_regular(build_graph(spec),
+                                                          True)
+            else:
+                assert row.witness is None
+        assert connected_non_drg > 0 or n == 1
 
     def test_deterministic_json(self):
         a = json.dumps(survey(3).to_dict(include_rows=True), sort_keys=True)
