@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 cross-check failure (a classify-vs-BFS
 disagreement, i.e. a classification-theorem alarm), 2 usage error
-(bad arguments, an invalid or oversized spec, an unwritable --out).
+(bad arguments, an invalid or oversized spec, an oversized search-ds
+order, an unwritable --out).
 JSON output carries schema_version 1; sets are sorted integer arrays
 and complex values are [re, im] pairs rounded to 12 digits.  Text
 output is human-oriented and not a stable contract.
@@ -21,7 +22,6 @@ import sys
 from . import classifier, fourier, group, search
 from .cayley import SpecParseError, SpecValidationError, parse_spec
 from .classifier import classify
-from .fourier import DEFAULT_TOLERANCE
 
 EXIT_OK = 0
 EXIT_CROSS_CHECK = 1
@@ -30,8 +30,13 @@ EXIT_USAGE = 2
 # survey(n) enumerates 4^n specs; survey(10) takes about 3 s and 69 MB
 # on a 2-core x86 VM, and each step in n costs three to four times more.
 MAX_SURVEY_N = 10
-# check and fourier cost n^2; at n = 512 each takes 1-2 s on an x86 VM.
+# check and fourier cost n^2; at n = 512 on a 2-vCPU x86 VM check takes
+# 1.5-1.6 s and fourier 2.0-2.1 s.
 MAX_SPEC_N = 512
+# search-ds builds an order^2 group table before it checks (v, k, lam):
+# on a 2-vCPU x86 VM the dicyclic one takes 2.4 s at order 1,024 and 9 s
+# at 2,048, and the cyclic one at order 2,000 takes 156 MB.
+MAX_DS_ORDER = 1024
 
 CSV_COLUMNS = ["n", "R", "T", "connected", "drg", "array", "class",
                "bipartite", "antipodal", "primitive", "fourier_ok"]
@@ -154,8 +159,7 @@ def _survey_csv(reports):
 
 def cmd_survey(args):
     ns = _requested_ns(args)
-    reports = [search.survey(n, dedup=not args.no_dedup,
-                             tolerance=args.tolerance, workers=args.workers)
+    reports = [search.survey(n, dedup=not args.no_dedup, workers=args.workers)
                for n in ns]
     failures = sum(len(r.cross_check_failures) for r in reports)
     if args.format == "csv":
@@ -204,14 +208,18 @@ def _requested_ns(args):
 
 
 def cmd_search_ds(args):
+    if args.order > MAX_DS_ORDER:
+        raise UsageError(f"--order {args.order:,} means a group table of "
+                         f"{args.order ** 2:,} entries; search-ds stops at "
+                         f"order {MAX_DS_ORDER:,}")
+    if args.limit is not None and args.limit < 1:
+        raise UsageError("--limit must be >= 1")
     if args.group == "cyclic":
         table = classifier.cyclic_table(args.order)
     else:
         if args.order % 4 != 0:
             raise UsageError("dicyclic groups have order 4n")
         table, _ = group.multiplication_table(args.order // 4)
-    if args.limit is not None and args.limit < 1:
-        raise UsageError("--limit must be >= 1")
     try:
         sets = search.search_difference_sets(table, args.order, args.k,
                                              args.lam, limit=args.limit)
@@ -234,8 +242,8 @@ def cmd_search_ds(args):
 def cmd_fourier(args):
     spec = _parse_spec_arg(args.spec)
     m = 2 * spec.n
-    r = fourier.dft_of_set(spec.R, m, args.tolerance)
-    t = fourier.dft_of_set(spec.T, m, args.tolerance)
+    r = fourier.dft_of_set(spec.R, m)
+    t = fourier.dft_of_set(spec.T, m)
     orbits = fourier.unit_orbits(m)
     payload = {
         "schema_version": 1,
@@ -250,7 +258,7 @@ def cmd_fourier(args):
             for div in range(1, m + 1) if m % div == 0
         },
     }
-    instance = search.evaluate_spec(spec, args.tolerance).instance
+    instance = search.evaluate_spec(spec).instance
     if instance is not None:
         payload["fourier_lemma_ok"] = instance.fourier_ok
     if args.format == "json":
@@ -281,7 +289,10 @@ def build_parser():
         if spec_arg:
             p.add_argument("spec", help="'n=<int>; R=<list>; T=<list>'")
         if tolerance:
-            p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+            p.add_argument("--tolerance", type=float, default=1e-9,
+                           help="accepted for compatibility and affects no "
+                                "output: the spectral identities are "
+                                "decided exactly")
 
     p_check = sub.add_parser("check", help="validate, build, test, classify one spec")
     common(p_check, spec_arg=True)

@@ -3,9 +3,8 @@ root of unity w = exp(2*pi*i/m) (= exp(pi*i/n) when m = 2n), unit-orbit
 decomposition, transversal predicates, and the two spectral identities
 satisfied by distance-regular dicirculants.
 
-The DFT side is floating point with an absolute tolerance; every
-pass/fail identity also has an exact integer convolution form, which is
-what the classifier relies on.
+The DFT is floating point and serves only as a diagnostic; the spectral
+identities are decided exactly, by integer convolution.
 """
 
 from __future__ import annotations
@@ -13,9 +12,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from math import gcd
-
-DEFAULT_TOLERANCE = 1e-9
-
 
 class ModulusMismatchError(ValueError):
     pass
@@ -58,10 +54,9 @@ def convolve(f, g):
 class FourierVector:
     values: tuple  # complex
     modulus: int
-    tolerance: float = DEFAULT_TOLERANCE
 
 
-def dft(f, tolerance=DEFAULT_TOLERANCE):
+def dft(f):
     """(Ff)(z) = sum_i f(i) w^(iz) with w the primitive m-th root of
     unity exp(2*pi*i/m)."""
     m = f.modulus
@@ -69,11 +64,11 @@ def dft(f, tolerance=DEFAULT_TOLERANCE):
     powers = [omega ** e for e in range(m)]
     values = tuple(sum(f.values[i] * powers[(i * z) % m] for i in range(m))
                    for z in range(m))
-    return FourierVector(values, m, tolerance)
+    return FourierVector(values, m)
 
 
-def dft_of_set(A, m, tolerance=DEFAULT_TOLERANCE):
-    return dft(indicator(A, m), tolerance)
+def dft_of_set(A, m):
+    return dft(indicator(A, m))
 
 
 @dataclass(frozen=True)
@@ -83,12 +78,6 @@ class OrbitPartition:
 
     orbits: tuple  # of (r, frozenset) sorted by r
     modulus: int
-
-    def orbit_for(self, r):
-        for label, members in self.orbits:
-            if label == r:
-                return members
-        raise KeyError(r)
 
 
 def unit_orbits(m):
@@ -145,32 +134,33 @@ def profile_reconstruction(profile, m):
     return sum(e * xi ** i for i, e in enumerate(profile.counts))
 
 
-def check_fourier_lemma(spec, dp, array, tolerance=DEFAULT_TOLERANCE):
-    """Verify r^2 + |t|^2 = k + lam*r + mu*r2 and 2*r*t = lam*t + mu*t2
-    pointwise over Z_2n, where r, t, r2, t2 are DFTs of the indicator
-    functions of R, T, R_2, T_2.
+def check_fourier_lemma(spec, dp, array):
+    """Decide the two spectral identities of a distance-regular
+    dicirculant exactly, as functions on Z_2n:
+
+        1_R*1_R + 1_T*1_-T = k delta_0 + lam 1_R + mu 1_R2
+        2 1_R*1_T = lam 1_T + mu 1_T2
+
+    where R_2, T_2 are the distance-2 shells.  Under the DFT they become
+    r^2 + |t|^2 = k + lam*r + mu*r2 and 2*r*t = lam*t + mu*t2 pointwise,
+    with r, t, r2, t2 the DFTs of 1_R, 1_T, 1_R2, 1_T2; the DFT is
+    injective, so the two forms agree.
 
     For diameter 1 the distance-2 shells are empty and mu is taken as 0;
     the identities then degenerate to the complete-graph counting.
     """
     m = 2 * spec.n
-    k = array.k
     lam = array.lam
     mu = array.mu if array.mu is not None else 0
-    r2_set = dp.r_sets[2] if dp.diameter >= 2 else frozenset()
-    t2_set = dp.t_sets[2] if dp.diameter >= 2 else frozenset()
-    r = dft_of_set(spec.R, m).values
-    t = dft_of_set(spec.T, m).values
-    r2 = dft_of_set(r2_set, m).values
-    t2 = dft_of_set(t2_set, m).values
-    for z in range(m):
-        lhs1 = r[z] * r[z] + abs(t[z]) ** 2
-        rhs1 = k + lam * r[z] + mu * r2[z]
-        lhs2 = 2 * r[z] * t[z]
-        rhs2 = lam * t[z] + mu * t2[z]
-        if abs(lhs1 - rhs1) > tolerance or abs(lhs2 - rhs2) > tolerance:
-            return False
-    return True
+    r2 = indicator(dp.r_sets[2] if dp.diameter >= 2 else (), m).values
+    t2 = indicator(dp.t_sets[2] if dp.diameter >= 2 else (), m).values
+    R, T = indicator(spec.R, m), indicator(spec.T, m)
+    rr = convolve(R, R).values
+    tt = convolve(T, indicator({-t for t in spec.T}, m)).values
+    rt = convolve(R, T).values
+    r, t = R.values, T.values
+    return all(rr[z] + tt[z] == (z == 0) * array.k + lam * r[z] + mu * r2[z]
+               and 2 * rt[z] == lam * t[z] + mu * t2[z] for z in range(m))
 
 
 def check_orbit_transversal_lemma(A, p, m):

@@ -5,13 +5,11 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 from . import classifier, fourier, group, structure
 from .cayley import (ConnectionSpec, build_graph, generates_group, is_subgroup,
                      validate_spec)
 from .classifier import classify
-from .fourier import DEFAULT_TOLERANCE
 from .metrics import (IntersectionArray, NotDRGWitness, distance_partition,
                       is_distance_regular)
 
@@ -191,7 +189,7 @@ def shell_flags(n, dp):
     return antipodal, primitive
 
 
-def evaluate_spec(spec, tolerance=DEFAULT_TOLERANCE):
+def evaluate_spec(spec):
     """BFS truth, classification, and structure flags for one spec."""
     if not spec.connected:
         return SpecRow(spec, False)
@@ -203,14 +201,14 @@ def evaluate_spec(spec, tolerance=DEFAULT_TOLERANCE):
     dp = distance_partition(spec, g)
     bip = all(drg.a(i) == 0 for i in range(drg.d + 1))
     antip, prim = shell_flags(spec.n, dp)
-    fourier_ok = fourier.check_fourier_lemma(spec, dp, drg, tolerance)
+    fourier_ok = fourier.check_fourier_lemma(spec, dp, drg)
     family = structure.recognize_family(g)
     instance = DrgInstance(spec, drg, classification, bip, antip, prim,
                            fourier_ok, family)
     return SpecRow(spec, True, drg, classification, instance)
 
 
-def survey(n, dedup=True, tolerance=DEFAULT_TOLERANCE, workers=1):
+def survey(n, dedup=True, workers=1):
     """Run enumerate -> build -> BFS DRG test -> classify -> structure
     analysis -> Fourier check over every connected spec; record every
     disagreement between the BFS truth and the classifier (there should
@@ -223,12 +221,11 @@ def survey(n, dedup=True, tolerance=DEFAULT_TOLERANCE, workers=1):
         len(specs) if dedup
         else len(_orbit_representatives(n, *_pair_unions(n))))
     report.connected_specs = sum(1 for s in specs if s.connected)
-    evaluate = partial(evaluate_spec, tolerance=tolerance)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            report.rows = list(pool.map(evaluate, specs, chunksize=16))
+            report.rows = list(pool.map(evaluate_spec, specs, chunksize=16))
     else:
-        report.rows = list(map(evaluate, specs))
+        report.rows = list(map(evaluate_spec, specs))
     for row in report.rows:
         if row.cross_check_failed:
             report.cross_check_failures.append({

@@ -90,7 +90,7 @@ def test_criterion_5_fourier_identities(surveys_upto_6):
         for inst in surveys_upto_6[n].drg_instances:
             assert inst.fourier_ok
             count += 1
-    report(5, f"spectral identities hold within 1e-9 for all {count} DRGs, n<=6")
+    report(5, f"spectral identities hold exactly for all {count} DRGs, n<=6")
 
 
 def test_criterion_6_parity(surveys_upto_6):

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from dicirculant import cli, search
+from dicirculant import classifier, cli, group, search
 from dicirculant.classifier import Classification
 from dicirculant.cli import EXIT_CROSS_CHECK, EXIT_OK, EXIT_USAGE, main
 
@@ -224,12 +224,35 @@ class TestSearchDS:
         assert code == EXIT_USAGE and out == ""
 
     @pytest.mark.parametrize("limit", ["0", "-1"])
-    def test_limit_below_one_is_usage_error(self, capsys, limit):
+    def test_limit_below_one_is_usage_error(self, capsys, monkeypatch, limit):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a group table for an invalid --limit")
+        monkeypatch.setattr(classifier, "cyclic_table", refuse)
         code, out, err = run(capsys, "search-ds", "--group", "cyclic",
                              "--order", "7", "--k", "3", "--lam", "1",
                              "--limit", limit)
         assert code == EXIT_USAGE and out == ""
         assert "--limit" in err
+
+    @pytest.mark.parametrize("kind", ["cyclic", "dicyclic"])
+    def test_oversized_order_is_usage_error(self, capsys, monkeypatch, kind):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a group table despite the size bound")
+        monkeypatch.setattr(classifier, "cyclic_table", refuse)
+        monkeypatch.setattr(group, "multiplication_table", refuse)
+        monkeypatch.setattr(search, "search_difference_sets", refuse)
+        order = str(cli.MAX_DS_ORDER + 4)
+        code, out, err = run(capsys, "search-ds", "--group", kind,
+                             "--order", order, "--k", "3", "--lam", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert f"stops at order {cli.MAX_DS_ORDER:,}" in err
+        # the bound itself is accepted
+        monkeypatch.setattr(classifier, "cyclic_table", lambda v: None)
+        monkeypatch.setattr(group, "multiplication_table", lambda n: (None, None))
+        monkeypatch.setattr(search, "search_difference_sets", lambda *a, **k: [])
+        code, _, _ = run(capsys, "search-ds", "--group", kind, "--order",
+                         str(cli.MAX_DS_ORDER), "--k", "3", "--lam", "1")
+        assert code == EXIT_OK
 
     def test_dicyclic_order_must_be_multiple_of_four(self, capsys):
         code, _, err = run(capsys, "search-ds", "--group", "dicyclic",
@@ -249,6 +272,16 @@ class TestFourier:
         assert payload["dft_R"][0] == [2, 0]
         assert {"order": 4, "members": [1, 3]} in payload["unit_orbits"]
         assert payload["fourier_lemma_ok"] is True
+
+    def test_tolerance_affects_no_output(self, capsys):
+        code, out, _ = run(capsys, "fourier", "--format", "json",
+                           "--tolerance", "1e-15", "n=2; R=1,3; T=0,1,2,3")
+        assert code == EXIT_OK
+        assert json.loads(out)["fourier_lemma_ok"] is True
+        default = run(capsys, "survey", "--n", "4", "--format", "json")
+        tight = run(capsys, "survey", "--n", "4", "--format", "json",
+                    "--tolerance", "1e-15")
+        assert tight == default
 
     def test_bad_tolerance_is_usage_error(self, capsys):
         for tolerance in ("0", "nan", "inf", "-inf"):

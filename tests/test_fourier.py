@@ -1,10 +1,13 @@
 import cmath
 import random
+from collections import namedtuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicirculant import fourier
-from dicirculant.cayley import build_graph, validate_spec
+from dicirculant.cayley import bit_members, build_graph, validate_spec
 from dicirculant.fourier import (CosetCountProfile, IntegerFunction,
                                  InvalidDivisorError, ModulusMismatchError,
                                  PreconditionViolatedError, convolve,
@@ -12,8 +15,27 @@ from dicirculant.fourier import (CosetCountProfile, IntegerFunction,
                                  is_transversal, is_union_of_orbits,
                                  profile_reconstruction, unit_orbits)
 from dicirculant.metrics import distance_partition, is_distance_regular
+from dicirculant.search import survey
 
 TOL = 1e-9
+
+# the parameters check_fourier_lemma reads from an intersection array
+Params = namedtuple("Params", "k lam mu")
+
+
+def float_fourier_lemma(spec, dp, array, tolerance=TOL):
+    """The spectral identities in DFT form, r^2 + |t|^2 = k + lam*r + mu*r2
+    and 2*r*t = lam*t + mu*t2 pointwise on Z_2n: the oracle for the exact
+    check_fourier_lemma."""
+    m = 2 * spec.n
+    mu = array.mu if array.mu is not None else 0
+    shells = (dp.r_sets[2], dp.t_sets[2]) if dp.diameter >= 2 else ((), ())
+    r, t, r2, t2 = (dft_of_set(A, m).values for A in (spec.R, spec.T, *shells))
+    return all(
+        abs(r[z] ** 2 + abs(t[z]) ** 2 - array.k - array.lam * r[z] - mu * r2[z])
+        <= tolerance
+        and abs(2 * r[z] * t[z] - array.lam * t[z] - mu * t2[z]) <= tolerance
+        for z in range(m))
 
 
 def direct_convolution(f, g):
@@ -224,3 +246,52 @@ class TestLemmas:
                 if len(A) != m // p or not is_transversal(A, m // p, m):
                     continue
                 assert fourier.check_orbit_transversal_lemma(A, p, m)
+
+
+class TestExactFourierLemma:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_agrees_with_float_form_on_survey_drgs(self, n):
+        # Planted negatives: lam + 1 moves 2 1_R*1_T off lam 1_T (T is
+        # never empty), and mu + 1 moves a side off mu 1_R2 or mu 1_T2
+        # once the distance-2 shell is non-empty (d >= 2).
+        checks = (fourier.check_fourier_lemma, float_fourier_lemma)
+        instances = survey(n).drg_instances
+        assert instances
+        for inst in instances:
+            dp = distance_partition(inst.spec, build_graph(inst.spec))
+            arr = inst.array
+            assert all(check(inst.spec, dp, arr) for check in checks), inst.spec
+            negatives = [Params(arr.k, arr.lam + 1, arr.mu)]
+            if arr.d >= 2:
+                negatives.append(Params(arr.k, arr.lam, arr.mu + 1))
+            for wrong in negatives:
+                assert not any(check(inst.spec, dp, wrong) for check in checks), \
+                    (inst.spec, wrong)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_exact_verdict_is_float_verdict(self, data):
+        # A violated identity leaves a DFT residual of at least 1 by
+        # Parseval, so the float form at 1e-9 decides the same way.
+        n = data.draw(st.integers(1, 12), label="n")
+        r_pairs = data.draw(st.sets(st.integers(1, n)), label="R pairs")
+        t_pairs = data.draw(st.sets(st.integers(0, n - 1), min_size=1),
+                            label="T pairs")
+        spec = validate_spec(n, {x for i in r_pairs for x in (i, -i)},
+                             {x for i in t_pairs for x in (i, i + n)})
+        if not spec.connected:
+            return
+        g = build_graph(spec)
+        dp = distance_partition(spec, g)
+
+        def common_neighbours(shell):
+            """Of the base vertex and the least vertex of the shell."""
+            return (g.rows[0] & g.rows[min(bit_members(shell))]).bit_count()
+
+        # (lam, mu) as counted at the base vertex, then perturbed
+        lam = common_neighbours(dp.shells[1]) + data.draw(st.integers(-1, 1))
+        mu = (common_neighbours(dp.shells[2]) + data.draw(st.integers(-1, 1))
+              if dp.diameter >= 2 else None)
+        array = Params(spec.degree, lam, mu)
+        assert fourier.check_fourier_lemma(spec, dp, array) \
+            == float_fourier_lemma(spec, dp, array)
