@@ -182,27 +182,29 @@ def vertex_element(v, n):
     return Element(v % m, v >= m)
 
 
+def _rotations(A, m):
+    """The masks of i + A (mod m) for i = 0..m-1: the m-bit mask of A
+    rotated left by i."""
+    mask = bitset(A)
+    doubled = mask | mask << m
+    full = (1 << m) - 1
+    return [doubled >> (m - i) & full for i in range(m)]
+
+
 def build_graph(spec):
     """Adjacency from the neighbor formulas
-    N(a^i) = a^(i+R) u a^(i+T) b and N(a^i b) = a^(i-T) u a^(i+R) b."""
-    n = spec.n
-    m = 2 * n
-    rows = []
-    for i in range(m):  # vertex a^i
-        row = 0
-        for r in spec.R:
-            row |= 1 << (i + r) % m
-        for t in spec.T:
-            row |= 1 << m + (i + t) % m
-        rows.append(row)
-    for i in range(m):  # vertex a^i b
-        row = 0
-        for t in spec.T:
-            row |= 1 << (i - t) % m
-        for r in spec.R:
-            row |= 1 << m + (i + r) % m
-        rows.append(row)
-    return Graph(rows)
+    N(a^i) = a^(i+R) u a^(i+T) b and N(a^i b) = a^(i-T) u a^(i+R) b.
+
+    Each row is rotations by i of three 2n-bit masks, R, T and -T: row
+    a^i is rot(R, i) | rot(T, i) << 2n and row a^i b is
+    rot(-T, i) | rot(R, i) << 2n.
+    """
+    m = 2 * spec.n
+    r = _rotations(spec.R, m)
+    t = _rotations(spec.T, m)
+    neg_t = _rotations((-x % m for x in spec.T), m)
+    return Graph([ri | ti << m for ri, ti in zip(r, t)]
+                 + [si | ri << m for si, ri in zip(neg_t, r)])
 
 
 def definitional_graph(spec):

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from . import classifier, fourier, group, search
@@ -27,13 +26,16 @@ EXIT_OK = 0
 EXIT_CROSS_CHECK = 1
 EXIT_USAGE = 2
 
-# survey(n) enumerates 4^n specs; survey(10) takes about 3 s and 69 MB
-# on a 2-core x86 VM, and each step in n costs three to four times more.
+# survey(n) evaluates one spec per (u, v) class of 4^n; survey(10) takes
+# 2.4-3.1 s and 67 MB on a 2-vCPU x86 VM, and each step in n costs 3-4x.
 MAX_SURVEY_N = 10
+# --no-dedup evaluates and keeps all 4^n specs: n = 8 takes 4.8 s and
+# 142 MB on the same VM, and n = 9 holds four times the rows in 533 MB.
+MAX_NO_DEDUP_N = 8
 # check and fourier cost n^2; at n = 512 on a 2-vCPU x86 VM check takes
-# 1.5-1.6 s and fourier 2.0-2.1 s.
+# 0.45 s and fourier 0.9-1.0 s.
 MAX_SPEC_N = 512
-# search-ds builds an order^2 group table before it checks (v, k, lam):
+# search-ds builds an order^2 group table once (v, k, lam) pass counting:
 # on a 2-vCPU x86 VM the dicyclic one takes 2.4 s at order 1,024 and 9 s
 # at 2,048, and the cyclic one at order 2,000 takes 156 MB.
 MAX_DS_ORDER = 1024
@@ -159,8 +161,7 @@ def _survey_csv(reports):
 
 def cmd_survey(args):
     ns = _requested_ns(args)
-    reports = [search.survey(n, dedup=not args.no_dedup, workers=args.workers)
-               for n in ns]
+    reports = [search.survey(n, dedup=not args.no_dedup) for n in ns]
     failures = sum(len(r.cross_check_failures) for r in reports)
     if args.format == "csv":
         _write(_survey_csv(reports), args.out)
@@ -186,7 +187,7 @@ def cmd_survey(args):
 
 
 def _requested_ns(args):
-    if args.n_range:
+    if args.n_range is not None:
         try:
             a, b = args.n_range.split("..")
             a, b = int(a), int(b)
@@ -195,15 +196,15 @@ def _requested_ns(args):
         if a < 1 or b < a:
             raise UsageError("--n-range expects 1 <= A <= B")
         ns = list(range(a, b + 1))
-    elif args.n is None:
-        raise UsageError("one of --n or --n-range is required")
     elif args.n < 1:
         raise UsageError("--n must be >= 1")
     else:
         ns = [args.n]
-    if ns[-1] > MAX_SURVEY_N:
+    bound, what = ((MAX_NO_DEDUP_N, "--no-dedup surveys") if args.no_dedup
+                   else (MAX_SURVEY_N, "surveys"))
+    if ns[-1] > bound:
         raise UsageError(f"n = {ns[-1]} means {4 ** ns[-1]:,} specs; "
-                         f"surveys stop at n = {MAX_SURVEY_N}")
+                         f"{what} stop at n = {bound}")
     return ns
 
 
@@ -214,13 +215,12 @@ def cmd_search_ds(args):
                          f"order {MAX_DS_ORDER:,}")
     if args.limit is not None and args.limit < 1:
         raise UsageError("--limit must be >= 1")
-    if args.group == "cyclic":
-        table = classifier.cyclic_table(args.order)
-    else:
-        if args.order % 4 != 0:
-            raise UsageError("dicyclic groups have order 4n")
-        table, _ = group.multiplication_table(args.order // 4)
+    if args.group == "dicyclic" and args.order % 4 != 0:
+        raise UsageError("dicyclic groups have order 4n")
     try:
+        search.check_ds_parameters(args.order, args.k, args.lam)
+        table = (classifier.cyclic_table(args.order) if args.group == "cyclic"
+                 else group.multiplication_table(args.order // 4)[0])
         sets = search.search_difference_sets(table, args.order, args.k,
                                              args.lam, limit=args.limit)
     except search.ParameterContradictionError as exc:
@@ -304,9 +304,9 @@ def build_parser():
 
     p_survey = sub.add_parser("survey", help="full survey per n")
     common(p_survey, tolerance=True)
-    p_survey.add_argument("--n", type=int, default=None)
-    p_survey.add_argument("--n-range", default=None, metavar="A..B")
-    p_survey.add_argument("--workers", type=int, default=1)
+    n_choice = p_survey.add_mutually_exclusive_group(required=True)
+    n_choice.add_argument("--n", type=int)
+    n_choice.add_argument("--n-range", metavar="A..B")
     p_survey.add_argument("--no-dedup", action="store_true",
                           help="survey all specs, not canonical representatives")
     p_survey.set_defaults(func=cmd_survey)
@@ -334,11 +334,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    # the process pool starts all its workers at the first task
-    workers, cpus = getattr(args, "workers", 1), os.cpu_count() or 1
-    if not 1 <= workers <= cpus:
-        sys.stderr.write(f"error: --workers must be in 1..{cpus} (the CPU count)\n")
-        return EXIT_USAGE
     tolerance = getattr(args, "tolerance", 1.0)
     if not (math.isfinite(tolerance) and tolerance > 0):
         sys.stderr.write("error: --tolerance must be finite and > 0\n")

@@ -3,7 +3,6 @@ classifier-vs-BFS cross-check, and backtracking difference-set search."""
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import classifier, fourier, group, structure
@@ -208,7 +207,7 @@ def evaluate_spec(spec):
     return SpecRow(spec, True, drg, classification, instance)
 
 
-def survey(n, dedup=True, workers=1):
+def survey(n, dedup=True):
     """Run enumerate -> build -> BFS DRG test -> classify -> structure
     analysis -> Fourier check over every connected spec; record every
     disagreement between the BFS truth and the classifier (there should
@@ -221,11 +220,7 @@ def survey(n, dedup=True, workers=1):
         len(specs) if dedup
         else len(_orbit_representatives(n, *_pair_unions(n))))
     report.connected_specs = sum(1 for s in specs if s.connected)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            report.rows = list(pool.map(evaluate_spec, specs, chunksize=16))
-    else:
-        report.rows = list(map(evaluate_spec, specs))
+    report.rows = list(map(evaluate_spec, specs))
     for row in report.rows:
         if row.cross_check_failed:
             report.cross_check_failures.append({
@@ -240,20 +235,27 @@ def survey(n, dedup=True, workers=1):
     return report
 
 
+def check_ds_parameters(v, k, lam):
+    """ParameterContradictionError unless a (v, k, lam) difference set
+    can exist by counting alone: v >= 1, 1 <= k <= v, and
+    k(k-1) = lam(v-1).  Needs no group table."""
+    if v < 1 or not 1 <= k <= v:
+        raise ParameterContradictionError(
+            f"need v >= 1 and 1 <= k <= v, got v = {v}, k = {k}")
+    if k * (k - 1) != lam * (v - 1):
+        raise ParameterContradictionError(
+            f"k(k-1) = {k * (k - 1)} != lam(v-1) = {lam * (v - 1)}")
+
+
 def search_difference_sets(table, v, k, lam, limit=None):
     """All (v, k, lam) difference sets in the group given by `table`,
     up to right translation: only sets whose sorted index tuple is
     minimal among all right-translates Dg are returned.  Backtracking
     over k-subsets with partial difference-count pruning."""
-    if v < 1 or not 1 <= k <= v:
-        raise ParameterContradictionError(
-            f"need v >= 1 and 1 <= k <= v, got v = {v}, k = {k}")
+    check_ds_parameters(v, k, lam)
     classifier.validate_group_table(table)
     if len(table) != v:
         raise ParameterContradictionError(f"group order {len(table)} != v = {v}")
-    if k * (k - 1) != lam * (v - 1):
-        raise ParameterContradictionError(
-            f"k(k-1) = {k * (k - 1)} != lam(v-1) = {lam * (v - 1)}")
     inv = [next(j for j in range(v) if table[i][j] == 0) for i in range(v)]
     results = []
     counts = [0] * v

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_valid_specs
 from dicirculant import cayley, group
@@ -57,6 +59,16 @@ class TestBuild:
     def test_formula_matches_definition_exhaustive(self, n):
         for spec in all_valid_specs(n):
             assert build_graph(spec) == definitional_graph(spec)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_formula_matches_definition_random(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        r_pairs = data.draw(st.sets(st.integers(1, n)), label="R pairs")
+        t_pairs = data.draw(st.sets(st.integers(0, n - 1)), label="T pairs")
+        spec = validate_spec(n, {x for i in r_pairs for x in (i, -i)},
+                             {x for i in t_pairs for x in (i, i + n)})
+        assert build_graph(spec) == definitional_graph(spec)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_vertex_transitive(self, n):

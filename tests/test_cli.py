@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -122,6 +124,14 @@ class TestSurvey:
         code, _, err = run(capsys, "survey")
         assert code == EXIT_USAGE
 
+    def test_n_with_n_range_is_usage_error(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("surveyed with both --n and --n-range")
+        monkeypatch.setattr(search, "survey", refuse)
+        code, out, err = run(capsys, "survey", "--n", "3", "--n-range", "1..2")
+        assert code == EXIT_USAGE and out == ""
+        assert "not allowed with" in err
+
     @pytest.mark.parametrize("argv", [["--n", "11"], ["--n-range", "1..11"]])
     def test_oversized_n_is_usage_error(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
@@ -132,18 +142,22 @@ class TestSurvey:
         assert code == EXIT_USAGE and out == ""
         assert f"{4 ** 11:,} specs" in err
 
-    def test_bad_workers_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, "survey", "--n", "2", "--workers", "0")
-        assert code == EXIT_USAGE
-
-    def test_workers_above_cpu_count_is_usage_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", [["--n", "9"], ["--n-range", "1..9"]])
+    def test_oversized_no_dedup_is_usage_error(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
-            raise AssertionError("surveyed despite the workers bound")
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            raise AssertionError("enumerated despite the --no-dedup bound")
         monkeypatch.setattr(search, "survey", refuse)
-        code, out, err = run(capsys, "survey", "--n", "2", "--workers", "3")
+        monkeypatch.setattr(search, "enumerate_specs", refuse)
+        code, out, err = run(capsys, "survey", "--no-dedup", *argv)
         assert code == EXIT_USAGE and out == ""
-        assert "1..2" in err
+        assert f"{4 ** 9:,} specs" in err
+        assert f"n = {cli.MAX_NO_DEDUP_N}" in err
+
+    def test_bad_workers_is_usage_error(self, capsys):
+        # surveys run in one process, so --workers is an unknown flag
+        for workers in ("0", "1"):
+            code, _, _ = run(capsys, "survey", "--n", "2", "--workers", workers)
+            assert code == EXIT_USAGE
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -251,8 +265,23 @@ class TestSearchDS:
         monkeypatch.setattr(group, "multiplication_table", lambda n: (None, None))
         monkeypatch.setattr(search, "search_difference_sets", lambda *a, **k: [])
         code, _, _ = run(capsys, "search-ds", "--group", kind, "--order",
-                         str(cli.MAX_DS_ORDER), "--k", "3", "--lam", "1")
+                         str(cli.MAX_DS_ORDER), "--k", "1", "--lam", "0")
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("kind", ["cyclic", "dicyclic"])
+    @pytest.mark.parametrize("k, lam, message", [("3", "1", "k(k-1)"),
+                                                 ("0", "0", "1 <= k <= v")])
+    def test_parameters_checked_before_table(self, capsys, monkeypatch, kind,
+                                             k, lam, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a group table for impossible parameters")
+        monkeypatch.setattr(classifier, "cyclic_table", refuse)
+        monkeypatch.setattr(group, "multiplication_table", refuse)
+        monkeypatch.setattr(classifier, "validate_group_table", refuse)
+        code, out, err = run(capsys, "search-ds", "--group", kind,
+                             "--order", "1024", "--k", k, "--lam", lam)
+        assert code == EXIT_USAGE and out == ""
+        assert message in err
 
     def test_dicyclic_order_must_be_multiple_of_four(self, capsys):
         code, _, err = run(capsys, "search-ds", "--group", "dicyclic",
@@ -291,3 +320,14 @@ class TestFourier:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+
+def test_cli_import_stays_light():
+    # the CLI needs neither a process pool nor networkx to start
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import dicirculant.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing', 'networkx'}"
+            " & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "[]\n"

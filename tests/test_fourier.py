@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicirculant import fourier
+from dicirculant import fourier, group
 from dicirculant.cayley import bit_members, build_graph, validate_spec
 from dicirculant.fourier import (CosetCountProfile, IntegerFunction,
                                  InvalidDivisorError, ModulusMismatchError,
@@ -273,12 +273,27 @@ class TestExactFourierLemma:
     def test_exact_verdict_is_float_verdict(self, data):
         # A violated identity leaves a DFT residual of at least 1 by
         # Parseval, so the float form at 1e-9 decides the same way.
+        # Half the draws are a complement Dic_n \ H of a proper subgroup
+        # moved by a random automorphism: a DRG with large R and T, and T
+        # often not symmetric.
         n = data.draw(st.integers(1, 12), label="n")
-        r_pairs = data.draw(st.sets(st.integers(1, n)), label="R pairs")
-        t_pairs = data.draw(st.sets(st.integers(0, n - 1), min_size=1),
-                            label="T pairs")
-        spec = validate_spec(n, {x for i in r_pairs for x in (i, -i)},
-                             {x for i in t_pairs for x in (i, i + n)})
+        if data.draw(st.booleans(), label="subgroup complement"):
+            order = data.draw(st.sampled_from(
+                [d for d in range(1, 4 * n) if 4 * n % d == 0]), label="|H|")
+            H = group.subgroup_of_order(n, order).members
+            params = data.draw(st.sampled_from(group.automorphism_params(n)),
+                               label="(u, v)")
+            S = [g for g in group.elements(n) if g not in H]
+            R, T = group.transform_sets(params, n,
+                                        {g.exp for g in S if not g.flip},
+                                        {g.exp for g in S if g.flip})
+        else:
+            r_pairs = data.draw(st.sets(st.integers(1, n)), label="R pairs")
+            t_pairs = data.draw(st.sets(st.integers(0, n - 1), min_size=1),
+                                label="T pairs")
+            R = {x for i in r_pairs for x in (i, -i)}
+            T = {x for i in t_pairs for x in (i, i + n)}
+        spec = validate_spec(n, R, T)
         if not spec.connected:
             return
         g = build_graph(spec)

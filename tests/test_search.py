@@ -117,11 +117,6 @@ class TestSurvey:
         b = json.dumps(survey(3).to_dict(include_rows=True), sort_keys=True)
         assert a == b
 
-    def test_parallel_matches_serial(self):
-        serial = survey(3).to_dict(include_rows=True)
-        parallel = survey(3, workers=2).to_dict(include_rows=True)
-        assert serial == parallel
-
 
 class TestDifferenceSetSearch:
     def test_fano_classes(self):
