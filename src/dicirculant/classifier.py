@@ -94,6 +94,12 @@ def validate_group_table(table):
             raise InvalidGroupTableError(f"element {i} has no inverse")
 
 
+def inverses(table):
+    """inv[i] is the j with table[i][j] = 0, the right inverse of i, for a
+    table that passed validate_group_table."""
+    return [row.index(0) for row in table]
+
+
 def cyclic_table(m):
     return tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
 
@@ -104,9 +110,8 @@ def difference_set_lambda(table, D) -> Optional[int]:
     constant.  For |D| in {0, 1, |G|-1, |G|} the set is trivial (see
     is_trivial_difference_set)."""
     validate_group_table(table)
-    v = len(table)
-    inv = [next(j for j in range(v) if table[i][j] == 0) for i in range(v)]
-    counts = [0] * v
+    inv = inverses(table)
+    counts = [0] * len(table)
     for g1 in D:
         for g2 in D:
             counts[table[g2][inv[g1]]] += 1

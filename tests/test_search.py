@@ -1,6 +1,9 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicirculant import classifier, group, search, structure
 from dicirculant.cayley import (build_graph, canonicalize, generates_group,
@@ -37,6 +40,29 @@ class TestEnumeration:
             gens += [group.Element(t, True) for t in spec.T]
             closed = bool(gens) and group.generated_subgroup(gens, n).order == 4 * n
             assert generates_group(n, spec.R, spec.T) == spec.connected == closed
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_connectivity_matches_subgroup_closure_random(self, data):
+        # About half the draws confine R to <a^d> for a divisor 1 < d < 2n
+        # of 2n, and T (when d | n) to the coset a^(j + <d>) b: such a spec
+        # is disconnected.
+        n = data.draw(st.integers(1, 12), label="n")
+        m = 2 * n
+        divisors = [d for d in range(2, m) if m % d == 0]
+        d = data.draw(st.one_of(st.just(1), st.sampled_from(divisors or [1])),
+                      label="d")
+        r_steps = data.draw(st.sets(st.integers(1, m // d - 1)), label="R steps")
+        R = {x % m for i in r_steps for x in (i * d, -i * d)}
+        T = set()
+        if n % d == 0:
+            j = data.draw(st.integers(0, d - 1), label="j")
+            t_steps = data.draw(st.sets(st.integers(0, n // d - 1)), label="T steps")
+            T = {(j + i * d + s) % m for i in t_steps for s in (0, n)}
+        gens = [group.Element(r, False) for r in R]
+        gens += [group.Element(t, True) for t in T]
+        closed = group.generated_subgroup(gens, n).order == 4 * n
+        assert generates_group(n, R, T) == closed
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_dedup_yields_distinct_canonical_forms(self, n):
@@ -118,7 +144,94 @@ class TestSurvey:
         assert a == b
 
 
+def reference_search_difference_sets(table, v, k, lam, limit=None):
+    """Oracle for search_difference_sets: the unpruned backtracker, which
+    starts from the empty set and tests canonicity against all v - 1
+    translates."""
+    search.check_ds_parameters(v, k, lam)
+    classifier.validate_group_table(table)
+    if len(table) != v:
+        raise ParameterContradictionError(f"group order {len(table)} != v = {v}")
+    inv = [next(j for j in range(v) if table[i][j] == 0) for i in range(v)]
+    results = []
+    counts = [0] * v
+    chosen = []
+
+    def is_canonical(D):
+        key = tuple(sorted(D))
+        return all(key <= tuple(sorted(table[d][g] for d in D))
+                   for g in range(1, v))
+
+    def extend(start):
+        if limit is not None and len(results) >= limit:
+            return
+        if len(chosen) == k:
+            if all(c == lam for c in counts[1:]) and is_canonical(chosen):
+                results.append(frozenset(chosen))
+            return
+        if v - start < k - len(chosen):
+            return
+        for nxt in range(start, v):
+            deltas = [table[nxt][inv[d]] for d in chosen]
+            deltas += [table[d][inv[nxt]] for d in chosen]
+            for delta in deltas:
+                counts[delta] += 1
+            if all(counts[delta] <= lam for delta in deltas):
+                chosen.append(nxt)
+                extend(nxt + 1)
+                chosen.pop()
+            for delta in deltas:
+                counts[delta] -= 1
+            if limit is not None and len(results) >= limit:
+                return
+
+    extend(0)
+    return results
+
+
+def relabelled(table, rng):
+    """The same group under a random relabelling that keeps 0 the identity."""
+    v = len(table)
+    new_of = [0] + rng.sample(range(1, v), v - 1)
+    out = [[0] * v for _ in range(v)]
+    for i in range(v):
+        for j in range(v):
+            out[new_of[i]][new_of[j]] = new_of[table[i][j]]
+    return out
+
+
+def admissible_parameters(v):
+    """Every (k, lam) with 1 <= k <= v and k(k-1) = lam(v-1); for v = 1
+    lam is free, so two values stand for it."""
+    if v == 1:
+        return [(1, 0), (1, 5)]
+    return [(k, k * (k - 1) // (v - 1)) for k in range(1, v + 1)
+            if k * (k - 1) % (v - 1) == 0]
+
+
+def oracle_cases():
+    rng = random.Random(8)
+    for v in range(1, 17):
+        table = relabelled(cyclic_table(v), rng)
+        for k, lam in admissible_parameters(v):
+            yield f"Z{v}", table, v, k, lam
+    for n in range(1, 5):
+        table, _ = group.multiplication_table(n)
+        for label, t in ((f"Dic{n}", table), (f"Dic{n}r", relabelled(table, rng))):
+            for k, lam in admissible_parameters(4 * n):
+                yield label, t, 4 * n, k, lam
+
+
 class TestDifferenceSetSearch:
+    def test_matches_reference_search(self):
+        mismatches = []
+        for label, table, v, k, lam in oracle_cases():
+            for limit in (None, 1, 2, 5):
+                expected = reference_search_difference_sets(table, v, k, lam, limit)
+                if search_difference_sets(table, v, k, lam, limit) != expected:
+                    mismatches.append((label, v, k, lam, limit))
+        assert mismatches == []
+
     def test_fano_classes(self):
         results = search_difference_sets(cyclic_table(7), 7, 3, 1)
         assert sorted(tuple(sorted(D)) for D in results) \
@@ -157,7 +270,11 @@ class TestDifferenceSetSearch:
 
     def test_limit_respected(self):
         table, _ = group.multiplication_table(4)
-        assert len(search_difference_sets(table, 16, 6, 2, limit=3)) == 3
+        everything = search_difference_sets(table, 16, 6, 2)
+        assert len(everything) > 5
+        for j in range(6):
+            assert search_difference_sets(table, 16, 6, 2, limit=j) \
+                == everything[:j]
 
     def test_canonical_filter_is_translate_minimal(self):
         table = cyclic_table(7)
@@ -165,3 +282,10 @@ class TestDifferenceSetSearch:
             key = tuple(sorted(D))
             for g in range(7):
                 assert key <= tuple(sorted((d + g) % 7 for d in D))
+        table, _ = group.multiplication_table(4)
+        found = search_difference_sets(table, 16, 6, 2)
+        assert found
+        for D in found:
+            key = tuple(sorted(D))
+            for g in range(16):
+                assert key <= tuple(sorted(table[d][g] for d in D))
