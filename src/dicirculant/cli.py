@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -26,11 +27,13 @@ EXIT_OK = 0
 EXIT_CROSS_CHECK = 1
 EXIT_USAGE = 2
 
-# survey(n) evaluates one spec per (u, v) class of 4^n; survey(10) takes
-# 2.4-3.1 s and 67 MB on a 2-vCPU x86 VM, and each step in n costs 3-4x.
-MAX_SURVEY_N = 10
-# --no-dedup evaluates and keeps all 4^n specs: n = 8 takes 4.8 s and
-# 142 MB on the same VM, and n = 9 holds four times the rows in 533 MB.
+# survey(n) evaluates one spec per (u, v) class of 4^n; on a 2-vCPU x86
+# VM survey(10) takes 2.1-2.8 s and 33 MB and survey(11) 6.4-7.2 s and
+# 52 MB, and each step in n costs 2.5-4x.
+MAX_SURVEY_N = 11
+# --no-dedup evaluates and keeps all 4^n specs: n = 8 takes 5.4 s and
+# 57 MB on the same VM, and n = 9 holds four times the rows in 21 s
+# and 176 MB.
 MAX_NO_DEDUP_N = 8
 # check and fourier cost n^2; at n = 512 on a 2-vCPU x86 VM check takes
 # 0.45 s and fourier 0.9-1.0 s.
@@ -328,10 +331,17 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser(), built on first use and then shared by every call:
+    parse_args returns a fresh namespace and keeps nothing from earlier
+    calls, so sharing saves the rebuild without carrying state."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     tolerance = getattr(args, "tolerance", 1.0)

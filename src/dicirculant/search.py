@@ -6,8 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import classifier, fourier, group, structure
-from .cayley import (ConnectionSpec, build_graph, generates_group, is_subgroup,
-                     validate_spec)
+from .cayley import ConnectionSpec, build_graph, generates_group, is_subgroup
 from .classifier import classify
 from .metrics import (IntersectionArray, NotDRGWitness, distance_partition,
                       is_distance_regular)
@@ -25,6 +24,12 @@ def enumerate_specs(n, dedup=True):
     Specs come in ascending (r_mask, t_mask) order, bit i-1 of r_mask
     and bit i of t_mask selecting pair i.  With dedup only specs that
     equal their canonical form are emitted: one per (u, v) orbit.
+
+    Every pair holds residues in 0..2n-1, no R pair holds 0, and each
+    pair is closed under r -> -r or t -> n + t, so every union is a
+    valid R or T as built and validate_spec would only copy it.  Each
+    spec therefore shares its R and T with every other spec of the same
+    mask, and only connectivity is computed per spec.
     """
     r_sets, t_sets = _pair_unions(n)
     if dedup:
@@ -33,7 +38,8 @@ def enumerate_specs(n, dedup=True):
         masks = ((r_mask, t_mask) for r_mask in range(1 << n)
                  for t_mask in range(1 << n))
     for r_mask, t_mask in masks:
-        yield validate_spec(n, r_sets[r_mask], t_sets[t_mask])
+        R, T = r_sets[r_mask], t_sets[t_mask]
+        yield ConnectionSpec(n, R, T, generates_group(n, R, T))
 
 
 def _pair_unions(n):

@@ -51,6 +51,12 @@ class TestGroupTables:
         with pytest.raises(InvalidGroupTableError):
             validate_group_table(((0, 0), (1, 1)))
 
+    @pytest.mark.parametrize("row", [(1, 2, 1), (1, 2, 3), (1, 2)])
+    def test_row_without_identity_rejected(self, row):
+        # element 1 would have no inverse
+        with pytest.raises(InvalidGroupTableError):
+            validate_group_table(((0, 1, 2), row, (2, 0, 1)))
+
     def test_shifted_identity_rejected(self):
         bad = tuple(tuple((i + j + 1) % 3 for j in range(3)) for i in range(3))
         with pytest.raises(InvalidGroupTableError):

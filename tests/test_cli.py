@@ -132,7 +132,7 @@ class TestSurvey:
         assert code == EXIT_USAGE and out == ""
         assert "not allowed with" in err
 
-    @pytest.mark.parametrize("argv", [["--n", "11"], ["--n-range", "1..11"]])
+    @pytest.mark.parametrize("argv", [["--n", "12"], ["--n-range", "1..12"]])
     def test_oversized_n_is_usage_error(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
             raise AssertionError("enumerated despite the size bound")
@@ -140,7 +140,18 @@ class TestSurvey:
         monkeypatch.setattr(search, "enumerate_specs", refuse)
         code, out, err = run(capsys, "survey", *argv)
         assert code == EXIT_USAGE and out == ""
-        assert f"{4 ** 11:,} specs" in err
+        assert f"{4 ** 12:,} specs" in err
+
+    def test_n11_is_accepted(self, capsys, monkeypatch):
+        surveyed = []
+
+        def stub(n, dedup=True):
+            surveyed.append((n, dedup))
+            return search.SurveyReport(n=n)
+        monkeypatch.setattr(search, "survey", stub)
+        code, out, _ = run(capsys, "survey", "--n", "11", "--format", "json")
+        assert code == EXIT_OK and surveyed == [(11, True)]
+        assert json.loads(out)["surveys"][0]["n"] == 11
 
     @pytest.mark.parametrize("argv", [["--n", "9"], ["--n-range", "1..9"]])
     def test_oversized_no_dedup_is_usage_error(self, capsys, monkeypatch, argv):
@@ -320,6 +331,42 @@ class TestFourier:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+
+SPEC = "n=2; R=1,3; T=0,1,2,3"
+DS_ARGS = ["search-ds", "--group", "cyclic", "--order", "7", "--k", "3",
+           "--lam", "1"]
+# Each pair is a call followed by one that could see what the first left in
+# a shared parser: a flag, an error, a non-default format, an option value.
+PARSER_REUSE_CALLS = [
+    ["survey", "--no-dedup", "--n", "2"], ["survey", "--n", "2"],
+    ["survey", "--n", "2", "--n-range", "1..2"], ["check", SPEC],
+    ["check", "--n", "2"], ["check", SPEC],
+    ["check", "--format", "json", SPEC], ["check", SPEC],
+    ["survey", "--format", "csv", "--n", "1"], ["survey", "--n", "1"],
+    DS_ARGS + ["--limit", "1"], DS_ARGS,
+]
+
+
+def test_shared_parser_matches_fresh_parser(capsys, monkeypatch):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build_parser()
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    shared = [run(capsys, *argv) for argv in PARSER_REUSE_CALLS]
+    assert len(builds) == 1
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "_parser", counting_build)
+    fresh = [run(capsys, *argv) for argv in PARSER_REUSE_CALLS]
+    assert len(builds) == 1 + len(PARSER_REUSE_CALLS)
+    codes = [code for code, _, _ in shared]
+    assert codes == [EXIT_OK] * 2 + [EXIT_USAGE, EXIT_OK] * 2 + [EXIT_OK] * 6
+    for argv, got, want in zip(PARSER_REUSE_CALLS, shared, fresh):
+        assert got == want, argv
 
 
 def test_cli_import_stays_light():

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 
@@ -12,6 +13,12 @@ from dicirculant.classifier import cyclic_table
 from dicirculant.metrics import is_distance_regular
 from dicirculant.search import (ParameterContradictionError, enumerate_specs,
                                 search_difference_sets, survey)
+
+
+@functools.cache
+def representatives(n):
+    """sorted_sets() -> connected for each spec of enumerate_specs(n)."""
+    return {spec.sorted_sets(): spec.connected for spec in enumerate_specs(n)}
 
 
 class TestEnumeration:
@@ -63,6 +70,32 @@ class TestEnumeration:
         gens += [group.Element(t, True) for t in T]
         closed = group.generated_subgroup(gens, n).order == 4 * n
         assert generates_group(n, R, T) == closed
+
+    @pytest.mark.parametrize("n, dedup", [(n, True) for n in range(1, 8)]
+                             + [(n, False) for n in range(1, 5)])
+    def test_specs_equal_validated_specs(self, n, dedup):
+        # oracle: validate_spec on the same sets; == ignores `connected`
+        for spec in enumerate_specs(n, dedup=dedup):
+            valid = validate_spec(n, spec.R, spec.T)
+            assert (spec.n, spec.R, spec.T, spec.connected) \
+                == (valid.n, valid.R, valid.T, valid.connected)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_canonical_form_is_a_representative_random(self, data):
+        # most classes, and most chances for a wrong representative, lie
+        # at the largest n, so the draws lean that way
+        n = 11 - data.draw(st.integers(1, 10), label="11 - n")
+        m = 2 * n
+        # residue i joins R with -i, and T with i + n, when bit i is set
+        r_bits, t_bits = (data.draw(st.integers(0, (1 << m) - 1), label=side)
+                          for side in "RT")
+        spec = validate_spec(n, {x % m for i in range(1, m) if r_bits >> i & 1
+                                 for x in (i, -i)},
+                             {(i + s) % m for i in range(m) if t_bits >> i & 1
+                              for s in (0, n)})
+        canon = canonicalize(spec)
+        assert representatives(n).get(canon.sorted_sets()) == spec.connected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_dedup_yields_distinct_canonical_forms(self, n):
