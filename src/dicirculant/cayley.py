@@ -51,10 +51,6 @@ class Graph:
     def neighbors(self, v):
         return bit_members(self.rows[v])
 
-    def complement(self):
-        full = (1 << self.n_vertices) - 1
-        return Graph((full & ~row & ~(1 << v)) for v, row in enumerate(self.rows))
-
     def edges(self):
         for u in range(self.n_vertices):
             for v in bit_members(self.rows[u]):

@@ -69,19 +69,6 @@ def distance_partition(spec, g):
     return DistancePartition(tuple(shells), tuple(r_sets), tuple(t_sets))
 
 
-def intersection_numbers(g, u, v):
-    """(c, a, b) for the pair (u, v): sizes of N(v) intersected with the
-    shells of u at distances i-1, i, i+1, where i = d(u, v)."""
-    shells = distance_shells(g, u)
-    dist_uv = next(i for i, shell in enumerate(shells) if shell >> v & 1)
-    row = g.rows[v]
-    below = shells[dist_uv - 1] if dist_uv >= 1 else 0
-    above = shells[dist_uv + 1] if dist_uv + 1 < len(shells) else 0
-    return ((row & below).bit_count(),
-            (row & shells[dist_uv]).bit_count(),
-            (row & above).bit_count())
-
-
 @dataclass(frozen=True)
 class IntersectionArray:
     """{b_0..b_(d-1); c_1..c_d}; a_i, k, lambda, mu are derived."""

@@ -207,7 +207,7 @@ def evaluate_spec(spec):
     bip = all(drg.a(i) == 0 for i in range(drg.d + 1))
     antip, prim = shell_flags(spec.n, dp)
     fourier_ok = fourier.check_fourier_lemma(spec, dp, drg)
-    family = structure.recognize_family(g)
+    family = structure.recognize_family(drg, g.n_vertices)
     instance = DrgInstance(spec, drg, classification, bip, antip, prim,
                            fourier_ok, family)
     return SpecRow(spec, True, drg, classification, instance)

@@ -1,13 +1,12 @@
 """Imprimitivity machinery: bipartitions, antipodal fibres and quotients,
-halved graphs, distance-i graphs, equitable partitions, and recognizers
-for the named distance-regular families of circulants."""
+halved graphs, distance-i graphs and equitable partitions, and the named
+family of a distance-regular graph read off its intersection array."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .cayley import Graph, bit_members, bitset, graph_from_edges
-from .fourier import _is_prime
 from .metrics import bfs_distances
 
 
@@ -144,9 +143,9 @@ def is_equitable(g, partition):
 
 @dataclass(frozen=True)
 class FamilyTag:
-    kind: str  # Complete | CompleteMultipartite | CrownGraph | Paley | Cycle | Unrecognized
+    kind: str  # Complete | CompleteMultipartite | CrownGraph | Cycle | Unrecognized
     params: tuple = ()
-    also: tuple = ()  # secondary matches, e.g. C_5 is both Paley(5) and Cycle(5)
+    also: tuple = ()  # secondary matches, e.g. C_4 = K_2,2 is also Cycle(4)
 
     def __repr__(self):
         inner = ",".join(map(str, self.params))
@@ -154,105 +153,26 @@ class FamilyTag:
         return base + (f" [also {', '.join(self.also)}]" if self.also else "")
 
 
-def _complete_multipartite_params(g):
-    comp = g.complement()
-    seen = 0
-    sizes = []
-    for v in range(g.n_vertices):
-        if seen >> v & 1:
-            continue
-        component = bitset([v])
-        frontier = [v]
-        while frontier:
-            u = frontier.pop()
-            fresh = comp.rows[u] & ~component
-            component |= fresh
-            frontier.extend(bit_members(fresh))
-        size = component.bit_count()
-        for u in bit_members(component):
-            if (comp.rows[u] & component).bit_count() != size - 1:
-                return None  # component is not a clique
-        sizes.append(size)
-        seen |= component
-    if len(set(sizes)) != 1:
-        return None
-    return len(sizes), sizes[0]
-
-
-def _is_crown(g):
-    parts = bipartition(g)
-    if parts is None:
-        return None
-    sizes = [p.bit_count() for p in parts]
-    m = sizes[0]
-    if sizes[1] != m or m < 3 or g.n_vertices != 2 * m:
-        return None
-    if any(g.degree(v) != m - 1 for v in range(g.n_vertices)):
-        return None
-    # each vertex misses exactly one cross vertex; misses must pair up
-    part0, part1 = parts
-    misses = {}
-    for u in bit_members(part0):
-        missing = list(bit_members(part1 & ~g.rows[u]))
-        if len(missing) != 1:
-            return None
-        misses[u] = missing[0]
-    if len(set(misses.values())) != m:
-        return None
-    return m
-
-
-def paley_graph(q):
-    squares = {(x * x) % q for x in range(1, q)}
-    return graph_from_edges(q, [(u, v) for u in range(q) for v in range(u + 1, q)
-                                if (u - v) % q in squares])
-
-
-def _to_networkx(g):
-    import networkx as nx  # see _is_paley
-    gx = nx.Graph()
-    gx.add_nodes_from(range(g.n_vertices))
-    gx.add_edges_from(g.edges())
-    return gx
-
-
-def _is_paley(g):
-    q = g.n_vertices
-    if not (_is_prime(q) and q % 4 == 1):
-        return None
-    if any(g.degree(v) != (q - 1) // 2 for v in range(q)):
-        return None
-    # networkx is imported here, not at the top: it is half of the
-    # package's memory, and no dicirculant (4n vertices) has the prime
-    # order that reaches this line.
-    import networkx as nx
-    if nx.is_isomorphic(_to_networkx(g), _to_networkx(paley_graph(q))):
-        return q
-    return None
-
-
-def recognize_family(g):
-    """Structural detection of the circulant DRG families.  Precedence on
-    overlaps: Complete > CompleteMultipartite > CrownGraph > Paley > Cycle;
-    the displaced tags are noted in `also`."""
+def recognize_family(array, n_vertices):
+    """Named family of a distance-regular graph on n_vertices vertices,
+    read off its IntersectionArray.  d = 1 is K_v.  d = 2 with c_2 = k
+    means non-adjacent vertices share all k neighbours, so the graph is
+    complete multipartite with parts of size v - k.  {k, k-1, 1; 1, k-1, k}
+    forces K_(k+1),(k+1) minus a perfect matching.  k = 2 is the cycle C_v.
+    Precedence on overlaps: Complete > CompleteMultipartite > CrownGraph >
+    Cycle; the displaced tags are noted in `also`."""
     matches = []
-    nv = g.n_vertices
-    if all(g.degree(v) == nv - 1 for v in range(nv)):
-        matches.append(("Complete", (nv,)))
-    else:
-        multipartite = _complete_multipartite_params(g)
-        if multipartite is not None and multipartite[0] >= 2 and multipartite[1] >= 2:
-            matches.append(("CompleteMultipartite", multipartite))
-        crown = _is_crown(g)
-        if crown is not None:
-            matches.append(("CrownGraph", (crown,)))
-        paley = _is_paley(g)
-        if paley is not None:
-            matches.append(("Paley", (paley,)))
-    if nv >= 3 and all(g.degree(v) == 2 for v in range(nv)) and is_connected(g):
-        matches.append(("Cycle", (nv,)))
+    k, v = array.k, n_vertices
+    if array.d == 1:
+        matches.append(("Complete", (v,)))
+    elif array.d == 2 and array.mu == k:
+        matches.append(("CompleteMultipartite", (v // (v - k), v - k)))
+    elif (array.b, array.c) == ((k, k - 1, 1), (1, k - 1, k)):
+        matches.append(("CrownGraph", (k + 1,)))
+    if k == 2:
+        matches.append(("Cycle", (v,)))
     if not matches:
         return FamilyTag("Unrecognized")
     kind, params = matches[0]
-    also = tuple(f"{k}({','.join(map(str, p))})" for k, p in matches[1:])
+    also = tuple(f"{name}({','.join(map(str, p))})" for name, p in matches[1:])
     return FamilyTag(kind, params, also)

@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from conftest import all_valid_specs
-from dicirculant import cayley, classifier, fourier, group, structure
-from dicirculant.cayley import build_graph, validate_spec
+from dicirculant import cayley, classifier, fourier, group
+from dicirculant.cayley import bit_members, build_graph, validate_spec
 from dicirculant.classifier import (DisconnectedSpecError,
                                     InvalidGroupTableError,
                                     PreconditionViolatedError, classify,
@@ -136,6 +136,22 @@ class TestConditionIIIPrime:
                 assert bool(condition_iii(spec)) == condition_iii_prime(spec)
 
 
+def _complement_clique_params(g):
+    """(t, m) if the complement of g is t disjoint copies of K_m, else
+    None: the generic graph test for complete multipartite graphs."""
+    full = (1 << g.n_vertices) - 1
+    closed = [full & ~row for row in g.rows]  # complement row plus the vertex
+    sizes, seen = [], 0
+    for v in range(g.n_vertices):
+        if seen >> v & 1:
+            continue
+        if any(closed[u] != closed[v] for u in bit_members(closed[v])):
+            return None  # v's complement component is not a clique
+        sizes.append(closed[v].bit_count())
+        seen |= closed[v]
+    return (len(sizes), sizes[0]) if len(set(sizes)) == 1 else None
+
+
 class TestClassify:
     def test_complete(self):
         result = classify(validate_spec(3, set(range(1, 6)), set(range(6))))
@@ -162,7 +178,7 @@ class TestClassify:
         for spec in all_valid_specs(n):
             if not spec.connected or spec.degree == 4 * n - 1:
                 continue
-            params = structure._complete_multipartite_params(build_graph(spec))
+            params = _complement_clique_params(build_graph(spec))
             result = classify(spec)
             assert (result.tag == classifier.MULTIPARTITE) == (params is not None)
             if params is not None:

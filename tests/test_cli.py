@@ -378,3 +378,31 @@ def test_cli_import_stays_light():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+NETWORKX_FREE_CALLS = [
+    ["survey", "--n-range", "1..5", "--format", "json"],
+    ["check", SPEC],
+    ["classify", SPEC],
+    ["fourier", SPEC],
+]
+
+
+def test_runs_without_networkx(capsys):
+    # networkx is no dependency: with its import blocked, every command
+    # prints what a normal run prints and exits the same way
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (f"import contextlib, io, json, sys; sys.path.insert(0, {src!r}); "
+            "sys.modules['networkx'] = None; from dicirculant import cli\n"
+            "results = []\n"
+            f"for argv in {NETWORKX_FREE_CALLS!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        results.append([cli.main(argv), out.getvalue()])\n"
+            "print(json.dumps(results))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True)
+    blocked = json.loads(result.stdout)
+    normal = [list(run(capsys, *argv)[:2]) for argv in NETWORKX_FREE_CALLS]
+    assert blocked == normal
+    assert [code for code, _ in normal] == [EXIT_OK] * 4

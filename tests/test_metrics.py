@@ -4,11 +4,11 @@ import pytest
 
 from conftest import all_valid_specs, naive_bfs_distances
 from dicirculant import cayley, metrics
-from dicirculant.cayley import build_graph, validate_spec, vertex_element
+from dicirculant.cayley import bitset, build_graph, validate_spec, vertex_element
 from dicirculant.metrics import (DisconnectedGraphError, IntersectionArray,
                                  NotDRGWitness, bfs_distances,
                                  common_neighbors_count, distance_partition,
-                                 intersection_numbers, is_distance_regular)
+                                 distance_shells, is_distance_regular)
 
 K8 = validate_spec(2, {1, 2, 3}, {0, 1, 2, 3})
 K4x2 = validate_spec(2, {1, 3}, {0, 1, 2, 3})
@@ -40,21 +40,16 @@ class TestBFS:
         for spec in all_valid_specs(n):
             g = build_graph(spec)
             for v in range(4 * n):
-                assert bfs_distances(g, v) == naive_bfs_distances(g, v)
-
-
-class TestIntersectionNumbers:
-    def test_complete_adjacent(self):
-        g = build_graph(K8)
-        assert intersection_numbers(g, 0, 1) == (1, 6, 0)
-
-    def test_k4x2_antipodal(self):
-        g = build_graph(K4x2)
-        assert intersection_numbers(g, 0, 2) == (6, 0, 0)
-
-    def test_four_cycle_distance_two(self):
-        g = build_graph(C4)
-        assert intersection_numbers(g, 0, 1) == (2, 0, 0)
+                dist = naive_bfs_distances(g, v)
+                assert bfs_distances(g, v) == dist
+                if -1 in dist:  # the error names the least unreachable vertex
+                    with pytest.raises(DisconnectedGraphError,
+                                       match=f"^vertex {dist.index(-1)} unreachable$"):
+                        distance_shells(g, v)
+                else:
+                    assert distance_shells(g, v) == [
+                        bitset(u for u in range(4 * n) if dist[u] == i)
+                        for i in range(max(dist) + 1)]
 
 
 class TestDistanceRegularity:

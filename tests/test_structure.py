@@ -3,7 +3,7 @@ import pytest
 from conftest import all_valid_specs
 from dicirculant import cayley, group, structure
 from dicirculant.cayley import bitset, build_graph, graph_from_edges, validate_spec
-from dicirculant.metrics import distance_partition
+from dicirculant.metrics import distance_partition, is_distance_regular
 from dicirculant.search import shell_flags
 from dicirculant.structure import (NotBipartiteError, antipodal_classes,
                                    bipartition, distance_i_graph, halved_graphs,
@@ -116,51 +116,90 @@ class TestEquitable:
         assert is_equitable(K4x2, [[0], list(range(1, 8))]) is None
 
 
+def _subgroup_complements(n):
+    """Dic_n minus H for one subgroup H of each proper order m, with m."""
+    for m in range(1, 4 * n):
+        if (4 * n) % m:
+            continue
+        sub = group.subgroup_of_order(n, m)
+        R = {g.exp for g in sub.members if not g.flip and g.exp != 0}
+        T = {g.exp for g in sub.members if g.flip}
+        yield m, validate_spec(n, set(range(1, 2 * n)) - R, set(range(2 * n)) - T)
+
+
+def _tag(g):
+    return recognize_family(is_distance_regular(g), g.n_vertices)
+
+
+def _families_from_graph(g):
+    """Oracle: the family names of g found on the graph itself, primary
+    first, for the families a dicirculant DRG can have."""
+    v = g.n_vertices
+    degrees = {g.degree(x) for x in range(v)}
+    names = []
+    if degrees == {v - 1}:
+        names.append(f"Complete({v})")
+    else:
+        # parts: the fibres of 'distance 0 or 2', each vertex adjacent
+        # to every vertex outside its own
+        st = antipodal_classes(g, 2)
+        if st is not None and st.p >= 2 and degrees == {v - st.p}:
+            t = len(st.fibres)
+            assert all(st.quotient.degree(x) == t - 1 for x in range(t))
+            names.append(f"CompleteMultipartite({t},{st.p})")
+    if degrees == {2} and structure.is_connected(g):
+        names.append(f"Cycle({v})")
+    return names
+
+
 class TestFamilies:
     def test_pentagon_is_paley(self):
-        tag = recognize_family(structure.paley_graph(5))
-        assert tag.kind == "Paley" and tag.params == (5,)
-        assert "Cycle(5)" in tag.also
+        # Paley(5) is the pentagon, which the array names only as C_5
+        squares = {1, 4}
+        pentagon = graph_from_edges(5, [(u, v) for u in range(5)
+                                        for v in range(u + 1, 5)
+                                        if (v - u) % 5 in squares])
+        tag = _tag(pentagon)
+        assert tag.kind == "Cycle" and tag.params == (5,) and tag.also == ()
 
     def test_crown_graph(self):
-        crown = graph_from_edges(6, [(u, 3 + v) for u in range(3)
-                                     for v in range(3) if u != v])
-        tag = recognize_family(crown)
-        assert tag.kind == "CrownGraph" and tag.params == (3,)
-        assert "Cycle(6)" in tag.also
+        for m, also in ((3, ("Cycle(6)",)), (4, ())):
+            crown = graph_from_edges(2 * m, [(u, m + v) for u in range(m)
+                                             for v in range(m) if u != v])
+            tag = _tag(crown)
+            assert tag.kind == "CrownGraph" and tag.params == (m,)
+            assert tag.also == also
 
     def test_complement_of_matchings(self):
-        tag = recognize_family(K4x2)
+        tag = _tag(K4x2)
         assert tag.kind == "CompleteMultipartite" and tag.params == (4, 2)
 
     def test_k22_precedence(self):
-        tag = recognize_family(C4)
+        tag = _tag(C4)
         assert tag.kind == "CompleteMultipartite" and tag.params == (2, 2)
-
-    def test_paley_13(self):
-        tag = recognize_family(structure.paley_graph(13))
-        assert tag.kind == "Paley" and tag.params == (13,)
-
-    def test_non_paley_srg_parameters_rejected(self):
-        # 13-cycle has Paley order but wrong degree
-        cycle = graph_from_edges(13, [(i, (i + 1) % 13) for i in range(13)])
-        assert recognize_family(cycle).kind == "Cycle"
+        assert tag.also == ("Cycle(4)",)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_subgroup_complement_builds_multipartite(self, n):
         # Cay(Dic_n, Dic_n \ H) is complete multipartite with parts = cosets
-        for m in range(1, 4 * n):
-            if (4 * n) % m:
-                continue
-            sub = group.subgroup_of_order(n, m)
-            R = {g.exp for g in sub.members if not g.flip and g.exp != 0}
-            T = {g.exp for g in sub.members if g.flip}
-            full_r = set(range(1, 2 * n))
-            full_t = set(range(2 * n))
-            spec = validate_spec(n, full_r - R, full_t - T)
-            tag = recognize_family(build_graph(spec))
+        for m, spec in _subgroup_complements(n):
+            tag = _tag(build_graph(spec))
             if m == 1:
                 assert tag.kind == "Complete" and tag.params == (4 * n,)
             else:
                 assert tag.kind == "CompleteMultipartite"
                 assert tag.params == (4 * n // m, m)
+
+    def test_tag_matches_graph(self, surveys_upto_6):
+        # the survey's own tags, then the complements' through _tag
+        tagged = [(inst.spec, inst.family) for report in surveys_upto_6.values()
+                  for inst in report.drg_instances]
+        tagged += [(spec, _tag(build_graph(spec)))
+                   for n in range(1, 7) for _, spec in _subgroup_complements(n)]
+        kinds = set()
+        for spec, tag in tagged:
+            assert [f"{tag.kind}({','.join(map(str, tag.params))})",
+                    *tag.also] == _families_from_graph(build_graph(spec)), spec
+            kinds.add(tag.kind)
+            kinds.update(name.split("(")[0] for name in tag.also)
+        assert kinds == {"Complete", "CompleteMultipartite", "Cycle"}
