@@ -178,7 +178,7 @@ def vertex_element(v, n):
     return Element(v % m, v >= m)
 
 
-def _rotations(A, m):
+def rotations(A, m):
     """The masks of i + A (mod m) for i = 0..m-1: the m-bit mask of A
     rotated left by i."""
     mask = bitset(A)
@@ -189,16 +189,17 @@ def _rotations(A, m):
 
 def build_graph(spec):
     """Adjacency from the neighbor formulas
-    N(a^i) = a^(i+R) u a^(i+T) b and N(a^i b) = a^(i-T) u a^(i+R) b.
-
-    Each row is rotations by i of three 2n-bit masks, R, T and -T: row
-    a^i is rot(R, i) | rot(T, i) << 2n and row a^i b is
-    rot(-T, i) | rot(R, i) << 2n.
-    """
+    N(a^i) = a^(i+R) u a^(i+T) b and N(a^i b) = a^(i-T) u a^(i+R) b."""
     m = 2 * spec.n
-    r = _rotations(spec.R, m)
-    t = _rotations(spec.T, m)
-    neg_t = _rotations((-x % m for x in spec.T), m)
+    return rotation_graph(m, rotations(spec.R, m), rotations(spec.T, m),
+                          rotations((-x % m for x in spec.T), m))
+
+
+def rotation_graph(m, r, t, neg_t):
+    """The graph whose rows are rotations by i of three m-bit masks,
+    given as the rotation lists of R, T and -T: row a^i is
+    rot(R, i) | rot(T, i) << m and row a^i b is rot(-T, i) | rot(R, i) << m.
+    """
     return Graph([ri | ti << m for ri, ti in zip(r, t)]
                  + [si | ri << m for si, ri in zip(neg_t, r)])
 

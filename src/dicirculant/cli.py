@@ -28,9 +28,10 @@ EXIT_CROSS_CHECK = 1
 EXIT_USAGE = 2
 
 # survey(n) evaluates one spec per (u, v) class of 4^n; on a 2-vCPU x86
-# VM survey(10) takes 2.1-2.8 s and 33 MB and survey(11) 6.4-7.2 s and
-# 52 MB, and each step in n costs 2.5-4x.
-MAX_SURVEY_N = 11
+# VM, in a fresh process, n = 11 takes 4.6 s and 50 MB, n = 12 27 s and
+# 191 MB, and n = 13 49 s and 346 MB.  n = 14 has about four times the
+# specs of n = 13.
+MAX_SURVEY_N = 13
 # --no-dedup evaluates and keeps all 4^n specs: n = 8 takes 5.4 s and
 # 57 MB on the same VM, and n = 9 holds four times the rows in 21 s
 # and 176 MB.

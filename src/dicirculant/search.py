@@ -4,9 +4,12 @@ classifier-vs-BFS cross-check, and backtracking difference-set search."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
+from math import gcd
 
-from . import classifier, fourier, group, structure
-from .cayley import ConnectionSpec, build_graph, generates_group, is_subgroup
+from . import classifier, fourier, structure
+from .cayley import (ConnectionSpec, build_graph, generates_group, is_subgroup,
+                     rotation_graph, rotations)
 from .classifier import classify
 from .metrics import (IntersectionArray, NotDRGWitness, distance_partition,
                       is_distance_regular)
@@ -21,25 +24,35 @@ def enumerate_specs(n, dedup=True):
     on the spec).  R is built from the generator pairs {i, 2n-i}
     (1 <= i <= n; {n} is a singleton) and T from the pairs {i, n+i}
     (0 <= i <= n-1), so R = -R and T = n + T hold by construction.
-    Specs come in ascending (r_mask, t_mask) order, bit i-1 of r_mask
-    and bit i of t_mask selecting pair i.  With dedup only specs that
-    equal their canonical form are emitted: one per (u, v) orbit.
+    Specs come in key order, ascending (sorted R, sorted T), the order
+    the survey reports.  With dedup only specs that equal their
+    canonical form are emitted: one per (u, v) orbit.
 
     Every pair holds residues in 0..2n-1, no R pair holds 0, and each
     pair is closed under r -> -r or t -> n + t, so every union is a
     valid R or T as built and validate_spec would only copy it.  Each
     spec therefore shares its R and T with every other spec of the same
-    mask, and only connectivity is computed per spec.
+    mask.  Connectivity is read off two per-mask tables: the spec
+    generates Dic_n iff T is non-empty and gcd(gcd(2n, R),
+    gcd(T - min T)) = 1, which is generates_group's gcd regrouped.
     """
+    m = 2 * n
     r_sets, t_sets = _pair_unions(n)
-    if dedup:
-        masks = _orbit_representatives(n, r_sets, t_sets)
-    else:
-        masks = ((r_mask, t_mask) for r_mask in range(1 << n)
-                 for t_mask in range(1 << n))
+    r_gcds = [gcd(m, *R) for R in r_sets]
+    t_gcds = list(map(_difference_gcd, t_sets))
+    r_order, t_order = _key_order(r_sets), _key_order(t_sets)
+    masks = (_class_masks(n, r_order, t_order) if dedup
+             else product(r_order, t_order))
     for r_mask, t_mask in masks:
-        R, T = r_sets[r_mask], t_sets[t_mask]
-        yield ConnectionSpec(n, R, T, generates_group(n, R, T))
+        yield ConnectionSpec(n, r_sets[r_mask], t_sets[t_mask],
+                             t_mask != 0
+                             and gcd(r_gcds[r_mask], t_gcds[t_mask]) == 1)
+
+
+def _difference_gcd(T):
+    """gcd(T - min T); 0 for an empty T."""
+    t0 = min(T, default=0)
+    return gcd(*(t - t0 for t in T))
 
 
 def _pair_unions(n):
@@ -60,36 +73,53 @@ def _subset_unions(parts, empty):
     return unions
 
 
-def _orbit_representatives(n, r_sets, t_sets):
-    """(r_mask, t_mask) of the lex-least (sorted R, sorted T) in each
-    orbit of the (u, v) family, in ascending mask order.
+def _key_order(sets):
+    """The masks of `sets`, ascending by the sorted tuple of their set."""
+    return sorted(range(len(sets)), key=lambda mask: sorted(sets[mask]))
 
-    The indices r_mask << n | t_mask are visited in key order, so the
-    first unmarked one is its orbit's least; every image of it under
-    the family is then marked.
+
+def _class_masks(n, r_order, t_order):
+    """(r_mask, t_mask) of the lex-least (sorted R, sorted T) in each
+    orbit of the (u, v) family, in key order.
+
+    The least key of an orbit has the least R of its u-orbit, and then
+    the least T under the maps that fix that R.  So the R masks are
+    walked in key order, the first unmarked one of each u-orbit is kept
+    and its images marked.  For a kept R the T masks are walked in key
+    order, in a 2^n bytearray of its own: the first unmarked one is
+    kept, and its images under the maps that fix R are marked.
     """
     m = 2 * n
     # (u, v) moves R pair i to the pair holding u*i and T pair i to
-    # pair (u*i + v) mod n; distinct maps as (R, T) bit permutations.
-    maps = {(tuple(min(p.u * i % m, -p.u * i % m) - 1 for i in range(1, n + 1)),
-             tuple((p.u * i + p.v) % n for i in range(n)))
-            for p in group.automorphism_params(n)}
-    # per map, the image of every r_mask and of every t_mask
-    tables = [tuple(_subset_unions([1 << b for b in perm], 0)
-                    for perm in perms) for perms in maps]
-    r_order = sorted(range(1 << n), key=lambda mask: sorted(r_sets[mask]))
-    t_order = sorted(range(1 << n), key=lambda mask: sorted(t_sets[mask]))
-    marked = bytearray(1 << 2 * n)
-    reps = []
+    # pair (u*i + v) mod n, so v and v + n move the pairs alike; the
+    # distinct maps as (R, T) bit permutations.
+    maps = set()
+    for u in range(1, m):
+        if gcd(u, m) == 1:
+            r_perm = tuple(min(u * i % m, -u * i % m) - 1 for i in range(1, n + 1))
+            maps |= {(r_perm, tuple((u * i + v) % n for i in range(n)))
+                     for v in range(n)}
+    # per permutation, the image of every mask
+    images = {perm: _subset_unions([1 << b for b in perm], 0)
+              for pair in maps for perm in pair}
+    r_marked = bytearray(1 << n)
     for r_mask in r_order:
+        if r_marked[r_mask]:
+            continue
+        fixing = set()
+        for r_perm, t_perm in maps:
+            image = images[r_perm][r_mask]
+            r_marked[image] = 1
+            if image == r_mask:
+                fixing.add(t_perm)
+        t_tables = [images[t_perm] for t_perm in fixing]
+        t_marked = bytearray(1 << n)
         for t_mask in t_order:
-            if marked[r_mask << n | t_mask]:
+            if t_marked[t_mask]:
                 continue
-            reps.append(r_mask << n | t_mask)
-            for r_table, t_table in tables:
-                marked[r_table[r_mask] << n | t_table[t_mask]] = 1
-    low = (1 << n) - 1
-    return [(index >> n, index & low) for index in sorted(reps)]
+            yield r_mask, t_mask
+            for t_table in t_tables:
+                t_marked[t_table[t_mask]] = 1
 
 
 @dataclass(frozen=True)
@@ -194,11 +224,12 @@ def shell_flags(n, dp):
     return antipodal, primitive
 
 
-def evaluate_spec(spec):
-    """BFS truth, classification, and structure flags for one spec."""
+def evaluate_spec(spec, graph=None):
+    """BFS truth, classification, and structure flags for one spec.
+    `graph` is the spec's graph when the caller has built it already."""
     if not spec.connected:
         return SpecRow(spec, False)
-    g = build_graph(spec)
+    g = build_graph(spec) if graph is None else graph
     drg = is_distance_regular(g, vertex_transitive_hint=True)
     classification = classify(spec)
     if not isinstance(drg, IntersectionArray):
@@ -219,14 +250,12 @@ def survey(n, dedup=True):
     disagreement between the BFS truth and the classifier (there should
     be none)."""
     report = SurveyReport(n=n)
-    specs = sorted(enumerate_specs(n, dedup=dedup),
-                   key=lambda s: s.sorted_sets())
+    specs = list(enumerate_specs(n, dedup=dedup))
     report.total_specs = 4 ** n
     report.canonical_classes = (
-        len(specs) if dedup
-        else len(_orbit_representatives(n, *_pair_unions(n))))
+        len(specs) if dedup else sum(1 for _ in enumerate_specs(n)))
     report.connected_specs = sum(1 for s in specs if s.connected)
-    report.rows = list(map(evaluate_spec, specs))
+    report.rows = list(_evaluate_all(n, specs))
     for row in report.rows:
         if row.cross_check_failed:
             report.cross_check_failures.append({
@@ -239,6 +268,24 @@ def survey(n, dedup=True):
         if row.instance is not None:
             report.drg_instances.append(row.instance)
     return report
+
+
+def _evaluate_all(n, specs):
+    """evaluate_spec on each spec, its graph built from rotation lists
+    kept per shared R set and per shared T set."""
+    m = 2 * n
+    r_rotations, t_rotations = {}, {}
+    for spec in specs:
+        graph = None
+        if spec.connected:
+            R, T = spec.R, spec.T
+            if R not in r_rotations:
+                r_rotations[R] = rotations(R, m)
+            if T not in t_rotations:
+                t_rotations[T] = (rotations(T, m),
+                                  rotations((-t % m for t in T), m))
+            graph = rotation_graph(m, r_rotations[R], *t_rotations[T])
+        yield evaluate_spec(spec, graph)
 
 
 def check_ds_parameters(v, k, lam):

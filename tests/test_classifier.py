@@ -168,6 +168,19 @@ class TestClassify:
         assert result.tag == classifier.NOT_DRG
         assert result.evidence
 
+    def test_bipartite_d3_when_condition_iii_holds(self, monkeypatch):
+        # no dicirculant reaches this return in a survey, so condition_iii
+        # is made to hold; k = |R| + |T| = 8 and mu = 2|R & T| = 4 here
+        # differ from |R| = 2, |T| = 6 and |R & T| = 2
+        evidence = ("condition (iii) holds (patched)",)
+        monkeypatch.setattr(classifier, "condition_iii",
+                            lambda spec: classifier.ConditionResult(True, evidence))
+        spec = validate_spec(6, {1, 11}, {1, 3, 5, 7, 9, 11})
+        result = classify(spec)
+        assert result.tag == classifier.BIPARTITE_D3
+        assert result.params == (8, 4)
+        assert result.evidence == evidence
+
     def test_disconnected_raises(self):
         with pytest.raises(DisconnectedSpecError):
             classify(validate_spec(2, {2}, set()))

@@ -15,6 +15,45 @@ from dicirculant.search import (ParameterContradictionError, enumerate_specs,
                                 search_difference_sets, survey)
 
 
+def orbit_representatives(n):
+    """Oracle for the staged class enumeration: the (R, T) of the
+    lex-least (sorted R, sorted T) in each orbit of the (u, v) family, in
+    ascending (r_mask, t_mask) order, by one marking pass over all 4^n
+    indices.
+
+    The indices r_mask << n | t_mask are visited in key order, so the
+    first unmarked one is its orbit's least; every image of it under
+    the family is then marked.
+    """
+    m = 2 * n
+    r_sets = [frozenset(x for i in range(1, n + 1) if mask >> (i - 1) & 1
+                        for x in (i, m - i)) for mask in range(1 << n)]
+    t_sets = [frozenset(x for i in range(n) if mask >> i & 1
+                        for x in (i, i + n)) for mask in range(1 << n)]
+    # (u, v) moves R pair i to the pair holding u*i and T pair i to
+    # pair (u*i + v) mod n; distinct maps as (R, T) bit permutations.
+    maps = {(tuple(min(p.u * i % m, -p.u * i % m) - 1 for i in range(1, n + 1)),
+             tuple((p.u * i + p.v) % n for i in range(n)))
+            for p in group.automorphism_params(n)}
+    # per map, the image of every r_mask and of every t_mask
+    tables = [tuple([sum(1 << perm[b] for b in range(n) if mask >> b & 1)
+                     for mask in range(1 << n)] for perm in perms)
+              for perms in maps]
+    r_order = sorted(range(1 << n), key=lambda mask: sorted(r_sets[mask]))
+    t_order = sorted(range(1 << n), key=lambda mask: sorted(t_sets[mask]))
+    marked = bytearray(1 << 2 * n)
+    reps = []
+    for r_mask in r_order:
+        for t_mask in t_order:
+            if marked[r_mask << n | t_mask]:
+                continue
+            reps.append(r_mask << n | t_mask)
+            for r_table, t_table in tables:
+                marked[r_table[r_mask] << n | t_table[t_mask]] = 1
+    low = (1 << n) - 1
+    return [(r_sets[index >> n], t_sets[index & low]) for index in sorted(reps)]
+
+
 @functools.cache
 def representatives(n):
     """sorted_sets() -> connected for each spec of enumerate_specs(n)."""
@@ -114,9 +153,26 @@ class TestEnumeration:
         assert canon == kept
 
     @pytest.mark.parametrize("n, classes", [(1, 4), (2, 12), (3, 32), (4, 72),
-                                            (5, 144), (6, 624), (7, 800)])
+                                            (5, 144), (6, 624), (7, 800),
+                                            (8, 2544), (9, 8064), (10, 25152),
+                                            (11, 51648)])
     def test_class_count_is_burnside_number(self, n, classes):
         assert sum(1 for _ in enumerate_specs(n, dedup=True)) == classes
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_staged_classes_match_one_pass_marking(self, n):
+        # oracle: one marking pass over all 4^n (r_mask, t_mask) indices
+        expected = sorted(((tuple(sorted(R)), tuple(sorted(T))),
+                           generates_group(n, R, T))
+                          for R, T in orbit_representatives(n))
+        assert [(s.sorted_sets(), s.connected)
+                for s in enumerate_specs(n)] == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_no_dedup_yields_every_spec_in_key_order(self, n):
+        keys = [s.sorted_sets() for s in enumerate_specs(n, dedup=False)]
+        assert len(set(keys)) == 4 ** n
+        assert keys == sorted(keys)
 
 
 class TestSurvey:
@@ -170,6 +226,16 @@ class TestSurvey:
             else:
                 assert row.witness is None
         assert connected_non_drg > 0 or n == 1
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rows_equal_evaluate_spec_without_graph(self, n, surveys_upto_6):
+        # the survey's graphs come from rotation lists it shares between
+        # specs; evaluate_spec(spec) builds its own with build_graph
+        rows = surveys_upto_6[n].rows
+        assert [row.spec.sorted_sets() for row in rows] \
+            == sorted(row.spec.sorted_sets() for row in rows)
+        for row in rows:
+            assert row == search.evaluate_spec(row.spec)
 
     def test_deterministic_json(self):
         a = json.dumps(survey(3).to_dict(include_rows=True), sort_keys=True)
