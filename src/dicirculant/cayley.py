@@ -170,9 +170,6 @@ def is_subgroup(n, R, T):
     return n % d == 0 and set(T) == {(t0 + r) % m for r in R}
 
 
-def vertex_index(g, n):
-    return g.exp + (2 * n if g.flip else 0)
-
 def vertex_element(v, n):
     m = 2 * n
     return Element(v % m, v >= m)
@@ -221,12 +218,6 @@ def definitional_graph(spec):
     return Graph(rows)
 
 
-def apply_automorphism(params, spec):
-    """Spec for the isomorphic graph under a -> a^u, b -> a^v b."""
-    R, T = group.transform_sets(params, spec.n, spec.R, spec.T)
-    return ConnectionSpec(spec.n, R, T, spec.connected)
-
-
 def canonicalize(spec):
     """Lexicographically least (R, T) over the whole (u, v) family.
 
@@ -244,7 +235,7 @@ def canonicalize(spec):
 
 
 _SPEC_RE = re.compile(
-    r"^\s*n\s*=\s*(\d+)\s*;\s*R\s*=\s*([\d\s,]*)\s*;\s*T\s*=\s*([\d\s,]*)\s*$")
+    r"^\s*n\s*=\s*(\d+)\s*;\s*R\s*=\s*([^;]*)\s*;\s*T\s*=\s*([^;]*)\s*$")
 
 
 def parse_spec(text):
@@ -265,7 +256,7 @@ def parse_spec(text):
             piece = piece.strip()
             if not piece:
                 continue
-            if not piece.isdigit():
+            if not piece.isdecimal():
                 raise SpecParseError(f"bad residue {piece!r}",
                                      offset + chunk.find(piece))
             values.append(int(piece))

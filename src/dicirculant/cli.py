@@ -16,7 +16,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 
 from . import classifier, fourier, group, search
@@ -286,17 +285,12 @@ def build_parser():
                     "construction, classification, and exhaustive surveys.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_arg=False, tolerance=False):
+    def common(p, spec_arg=False):
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", choices=["json", "csv", "text"],
                        default="text")
         if spec_arg:
             p.add_argument("spec", help="'n=<int>; R=<list>; T=<list>'")
-        if tolerance:
-            p.add_argument("--tolerance", type=float, default=1e-9,
-                           help="accepted for compatibility and affects no "
-                                "output: the spectral identities are "
-                                "decided exactly")
 
     p_check = sub.add_parser("check", help="validate, build, test, classify one spec")
     common(p_check, spec_arg=True)
@@ -307,7 +301,7 @@ def build_parser():
     p_classify.set_defaults(func=cmd_classify)
 
     p_survey = sub.add_parser("survey", help="full survey per n")
-    common(p_survey, tolerance=True)
+    common(p_survey)
     n_choice = p_survey.add_mutually_exclusive_group(required=True)
     n_choice.add_argument("--n", type=int)
     n_choice.add_argument("--n-range", metavar="A..B")
@@ -326,7 +320,7 @@ def build_parser():
 
     p_fourier = sub.add_parser("fourier",
                                help="DFT / orbit / transversal diagnostics")
-    common(p_fourier, spec_arg=True, tolerance=True)
+    common(p_fourier, spec_arg=True)
     p_fourier.set_defaults(func=cmd_fourier)
 
     return parser
@@ -345,10 +339,6 @@ def main(argv=None):
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    tolerance = getattr(args, "tolerance", 1.0)
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        sys.stderr.write("error: --tolerance must be finite and > 0\n")
-        return EXIT_USAGE
     try:
         return args.func(args)
     except UsageError as exc:

@@ -1,6 +1,6 @@
 """Characteristic functions on Z_m, exact convolution, the DFT with
 root of unity w = exp(2*pi*i/m) (= exp(pi*i/n) when m = 2n), unit-orbit
-decomposition, transversal predicates, and the two spectral identities
+decomposition, the transversal predicate, and the two spectral identities
 satisfied by distance-regular dicirculants.
 
 The DFT is floating point and serves only as a diagnostic; the spectral
@@ -90,15 +90,6 @@ def unit_orbits(m):
     return OrbitPartition(orbits, m)
 
 
-def is_union_of_orbits(A, m):
-    A = {a % m for a in A}
-    for _, members in unit_orbits(m).orbits:
-        overlap = A & members
-        if overlap and overlap != members:
-            return False
-    return True
-
-
 def _check_divisor(r, m):
     if r < 1 or m % r != 0:
         raise InvalidDivisorError(f"{r} does not divide {m}")
@@ -161,29 +152,3 @@ def check_fourier_lemma(spec, dp, array):
     r, t = R.values, T.values
     return all(rr[z] + tt[z] == (z == 0) * array.k + lam * r[z] + mu * r2[z]
                and 2 * rt[z] == lam * t[z] + mu * t2[z] for z in range(m))
-
-
-def check_orbit_transversal_lemma(A, p, m):
-    """For A a union of unit orbits that is a transversal of (m/p)Z_m
-    (p a prime divisor of m), confirm p = 2 or A = pZ_m.  A False return
-    is a counterexample alarm against the classification machinery."""
-    if p < 2 or m % p != 0 or not _is_prime(p):
-        raise PreconditionViolatedError(f"{p} is not a prime divisor of {m}")
-    A = {a % m for a in A}
-    # (m/p)Z_m has index m/p, i.e. m/p cosets
-    if not is_transversal(A, m // p, m):
-        raise PreconditionViolatedError("A is not a transversal of (m/p)Z_m")
-    if not is_union_of_orbits(A, m):
-        raise PreconditionViolatedError("A is not a union of unit orbits")
-    return p == 2 or A == {x for x in range(m) if x % p == 0}
-
-
-def _is_prime(q):
-    if q < 2:
-        return False
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 1
-    return True

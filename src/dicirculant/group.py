@@ -56,24 +56,14 @@ def inverse(g, n):
     return Element((g.exp + n) % m, True)
 
 
-def element_order(g, n):
-    result = g
-    order = 1
-    while result != IDENTITY:
-        result = multiply(result, g, n)
-        order += 1
-    return order
-
-
 @dataclass(frozen=True)
 class Subgroup:
     order: int
     members: frozenset
-    kind: str  # "cyclic" or "dicyclic"
 
 
 def generated_subgroup(gens, n):
-    """Closure of gens under multiplication; kind from flip content."""
+    """Closure of gens under multiplication."""
     members = {IDENTITY}
     frontier = [IDENTITY]
     gens = list(gens)
@@ -88,17 +78,7 @@ def generated_subgroup(gens, n):
             if prod not in members:
                 members.add(prod)
                 frontier.append(prod)
-    kind = "dicyclic" if any(m.flip for m in members) else "cyclic"
-    return Subgroup(len(members), frozenset(members), kind)
-
-
-def index2_subgroups(n):
-    """Subgroups of index 2: <a> always; two more when n is even."""
-    out = [generated_subgroup([Element(1, False)], n)]
-    if n % 2 == 0:
-        out.append(generated_subgroup([Element(2, False), Element(0, True)], n))
-        out.append(generated_subgroup([Element(2, False), Element(1, True)], n))
-    return out
+    return Subgroup(len(members), frozenset(members))
 
 
 def subgroup_of_order(n, m):
@@ -139,15 +119,6 @@ def transform_sets(params, n, R, T):
     m = 2 * n
     return (frozenset((params.u * r) % m for r in R),
             frozenset((params.u * t + params.v) % m for t in T))
-
-
-def apply_element(params, g, n):
-    """Image of a single element under the (u, v) automorphism."""
-    params.validate(n)
-    m = 2 * n
-    if not g.flip:
-        return Element((params.u * g.exp) % m, False)
-    return Element((params.u * g.exp + params.v) % m, True)
 
 
 def multiplication_table(n):

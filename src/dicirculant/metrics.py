@@ -156,19 +156,3 @@ def is_distance_regular(g, vertex_transitive_hint=False):
     b = tuple(triples[i][2] for i in range(len(triples) - 1))
     c = tuple(triples[i][0] for i in range(1, len(triples)))
     return IntersectionArray(b, c)
-
-
-def common_neighbors_count(spec, x, y):
-    """Common-neighbor count of vertices x, y (Elements) straight from
-    the connection set: |R n (j-i+R)| + |T n (j-i+T)| on one side of the
-    bipartition-by-flip, 2|(j-i+R) n T| across it."""
-    m = 2 * spec.n
-    if x.flip == y.flip:
-        diff = (y.exp - x.exp) % m
-        shifted_r = {(diff + r) % m for r in spec.R}
-        shifted_t = {(diff + t) % m for t in spec.T}
-        return len(spec.R & shifted_r) + len(spec.T & shifted_t)
-    i, j = (x.exp, y.exp) if y.flip else (y.exp, x.exp)
-    diff = (j - i) % m
-    shifted_r = {(diff + r) % m for r in spec.R}
-    return 2 * len(shifted_r & spec.T)

@@ -1,6 +1,6 @@
 """Imprimitivity machinery: bipartitions, antipodal fibres and quotients,
-halved graphs, distance-i graphs and equitable partitions, and the named
-family of a distance-regular graph read off its intersection array."""
+halved graphs, distance-i graphs, and the named family of a
+distance-regular graph read off its intersection array."""
 
 from __future__ import annotations
 
@@ -113,32 +113,6 @@ def halved_graphs(g):
 def is_primitive(g, d):
     """True iff every distance-i graph (1 <= i <= d) is connected."""
     return all(is_connected(distance_i_graph(g, i)) for i in range(1, d + 1))
-
-
-def is_equitable(g, partition):
-    """The quotient matrix (b_ij) if every vertex of block i has the same
-    number of neighbors in block j, else None.  Blocks may be any
-    iterables of vertices; they must cover the vertex set disjointly."""
-    blocks = [bitset(block) if not isinstance(block, int) else block
-              for block in partition]
-    covered = 0
-    for block in blocks:
-        if covered & block:
-            raise ValueError("partition blocks overlap")
-        covered |= block
-    if covered != (1 << g.n_vertices) - 1:
-        raise ValueError("partition does not cover the vertex set")
-    matrix = []
-    for block in blocks:
-        counts = None
-        for v in bit_members(block):
-            row = [(g.rows[v] & other).bit_count() for other in blocks]
-            if counts is None:
-                counts = row
-            elif counts != row:
-                return None
-        matrix.append(counts)
-    return matrix
 
 
 @dataclass(frozen=True)

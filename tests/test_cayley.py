@@ -77,11 +77,11 @@ class TestBuild:
             for target in range(4 * n):
                 # relabel by left multiplication with the target element
                 lm = cayley.vertex_element(target, n)
-                image = sorted(
-                    cayley.vertex_index(
-                        group.multiply(lm, cayley.vertex_element(v, n), n), n)
-                    for v in g.neighbors(0))
-                assert image == sorted(g.neighbors(target))
+                image = []
+                for v in g.neighbors(0):
+                    h = group.multiply(lm, cayley.vertex_element(v, n), n)
+                    image.append(h.exp + 2 * n * h.flip)
+                assert sorted(image) == sorted(g.neighbors(target))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_degree_is_connection_set_size(self, n):
@@ -137,15 +137,16 @@ class TestCanonicalize:
         for spec in all_valid_specs(n)[:20]:
             canon = canonicalize(spec)
             for params in group.automorphism_params(n)[:8]:
-                moved = cayley.apply_automorphism(params, spec)
+                R, T = group.transform_sets(params, n, spec.R, spec.T)
+                moved = validate_spec(n, R, T)
                 assert canonicalize(moved).sorted_sets() == canon.sorted_sets()
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_automorphism_preserves_validity(self, n):
         for spec in all_valid_specs(n)[:16]:
             for params in group.automorphism_params(n):
-                moved = cayley.apply_automorphism(params, spec)
-                assert not cayley.spec_violations(n, moved.R, moved.T)
+                R, T = group.transform_sets(params, n, spec.R, spec.T)
+                assert not cayley.spec_violations(n, R, T)
 
 
 class TestParsing:
@@ -164,8 +165,12 @@ class TestParsing:
         assert spec.sorted_sets() == ((1, 3), (0, 2))
 
     def test_garbage_reports_position(self):
-        with pytest.raises(SpecParseError):
-            parse_spec("x=2; R=1; T=0")
+        for text, position in [("x=2; R=1; T=0", 0), ("n=2; R=1,3; T=x", 14),
+                               ("n=2; R=1,-3; T=0,2", 9),
+                               ("n=2; R=²; T=0,2", 7)]:
+            with pytest.raises(SpecParseError) as err:
+                parse_spec(text)
+            assert err.value.position == position, text
 
     def test_structural_violation_from_parse(self):
         with pytest.raises(SpecValidationError) as err:

@@ -1,14 +1,12 @@
-import itertools
-
 import pytest
 
 from conftest import all_valid_specs, naive_bfs_distances
 from dicirculant import cayley, metrics
-from dicirculant.cayley import bitset, build_graph, validate_spec, vertex_element
+from dicirculant.cayley import bitset, build_graph, validate_spec
 from dicirculant.metrics import (DisconnectedGraphError, IntersectionArray,
                                  NotDRGWitness, bfs_distances,
-                                 common_neighbors_count, distance_partition,
-                                 distance_shells, is_distance_regular)
+                                 distance_partition, distance_shells,
+                                 is_distance_regular)
 
 K8 = validate_spec(2, {1, 2, 3}, {0, 1, 2, 3})
 K4x2 = validate_spec(2, {1, 3}, {0, 1, 2, 3})
@@ -103,33 +101,6 @@ class TestDistanceRegularity:
                 b_i = arr.b[i] if i < arr.d else 0
                 c_i = arr.c[i - 1] if i >= 1 else 0
                 assert arr.a(i) + b_i + c_i == arr.k
-
-
-class TestCommonNeighbors:
-    def test_identity_pair(self):
-        assert common_neighbors_count(K4x2, vertex_element(0, 2),
-                                      vertex_element(0, 2)) == K4x2.degree
-
-    def test_same_side_pair(self):
-        spec = validate_spec(2, {1, 3}, {0, 2})
-        assert common_neighbors_count(spec, vertex_element(0, 2),
-                                      vertex_element(2, 2)) == 4
-
-    def test_cross_pair(self):
-        spec = validate_spec(2, {1, 3}, {0, 2})
-        # 2|R n T| = 0
-        assert common_neighbors_count(spec, vertex_element(0, 2),
-                                      vertex_element(4, 2)) == 0
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_formula_matches_adjacency_rows(self, n):
-        for spec in all_valid_specs(n):
-            g = build_graph(spec)
-            for u, v in itertools.combinations(range(4 * n), 2):
-                brute = (g.rows[u] & g.rows[v]).bit_count()
-                formula = common_neighbors_count(spec, vertex_element(u, n),
-                                                 vertex_element(v, n))
-                assert brute == formula
 
 
 class TestCountingLemmas:

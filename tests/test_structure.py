@@ -7,7 +7,7 @@ from dicirculant.metrics import distance_partition, is_distance_regular
 from dicirculant.search import shell_flags
 from dicirculant.structure import (NotBipartiteError, antipodal_classes,
                                    bipartition, distance_i_graph, halved_graphs,
-                                   is_equitable, is_primitive, recognize_family)
+                                   is_primitive, recognize_family)
 
 K8 = build_graph(validate_spec(2, {1, 2, 3}, {0, 1, 2, 3}))
 K4x2 = build_graph(validate_spec(2, {1, 3}, {0, 1, 2, 3}))
@@ -48,11 +48,12 @@ class TestAntipodal:
 
     def test_fibres_are_equitable(self):
         st = antipodal_classes(K4x2, 2)
-        matrix = is_equitable(K4x2, st.fibres)
-        assert matrix is not None
-        for i, row in enumerate(matrix):
-            assert row[i] == 0
-            assert all(row[j] == 2 for j in range(4) if j != i)
+        for i, fibre in enumerate(st.fibres):
+            for v in cayley.bit_members(fibre):
+                counts = [(K4x2.rows[v] & other).bit_count()
+                          for other in st.fibres]
+                assert counts[i] == 0
+                assert all(counts[j] == 2 for j in range(4) if j != i)
 
 
 class TestHalvedAndDistanceGraphs:
@@ -106,14 +107,6 @@ class TestShellResidueForms:
                 assert primitive == is_primitive(g, d), spec
                 seen.add((antipodal, primitive))
         assert {a for a, _ in seen} == {p for _, p in seen} == {False, True}
-
-
-class TestEquitable:
-    def test_four_cycle_bipartition(self):
-        assert is_equitable(C4, [[0, 1], [2, 3]]) == [[0, 2], [2, 0]]
-
-    def test_non_equitable(self):
-        assert is_equitable(K4x2, [[0], list(range(1, 8))]) is None
 
 
 def _subgroup_complements(n):
