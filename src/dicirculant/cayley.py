@@ -2,8 +2,9 @@
 
 A dicirculant Dic(n, R, T) is the Cayley graph on Dic_n with connection
 set a^R u a^T b, where 0 not in R, R = -R and T = n + T (mod 2n).
-Vertices are indexed a^i -> i and a^i b -> 2n + i, so adjacency rows are
-stable across runs and safe to serialize.
+Vertices are indexed a^i -> i and a^i b -> 2n + i, the int that group
+uses for the element, so element index and vertex index are the same.
+Adjacency rows are stable across runs and safe to serialize.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from . import group
-from .group import Element
 
 ZERO_IN_R = "ZeroInR"
 R_NOT_SYMMETRIC = "RNotSymmetric"
@@ -170,11 +170,6 @@ def is_subgroup(n, R, T):
     return n % d == 0 and set(T) == {(t0 + r) % m for r in R}
 
 
-def vertex_element(v, n):
-    m = 2 * n
-    return Element(v % m, v >= m)
-
-
 def rotations(A, m):
     """The masks of i + A (mod m) for i = 0..m-1: the m-bit mask of A
     rotated left by i."""
@@ -205,17 +200,11 @@ def definitional_graph(spec):
     """Adjacency straight from the Cayley definition g^-1 h in S.
     Used as an oracle against build_graph."""
     n = spec.n
-    S = {Element(r, False) for r in spec.R} | {Element(t, True) for t in spec.T}
-    verts = [vertex_element(v, n) for v in range(4 * n)]
-    rows = []
-    for g in verts:
-        ginv = group.inverse(g, n)
-        row = 0
-        for j, h in enumerate(verts):
-            if group.multiply(ginv, h, n) in S:
-                row |= 1 << j
-        rows.append(row)
-    return Graph(rows)
+    S = spec.R | {t + 2 * n for t in spec.T}
+    inverses = (group.inverse(g, n) for g in range(4 * n))
+    return Graph(bitset(h for h in range(4 * n)
+                        if group.multiply(ginv, h, n) in S)
+                 for ginv in inverses)
 
 
 def canonicalize(spec):
@@ -234,37 +223,36 @@ def canonicalize(spec):
                           spec.connected)
 
 
-_SPEC_RE = re.compile(
-    r"^\s*n\s*=\s*(\d+)\s*;\s*R\s*=\s*([^;]*)\s*;\s*T\s*=\s*([^;]*)\s*$")
+# A residue list is comma-separated pieces, each empty or one decimal
+# numeral with optional whitespace around it.
+_LIST = r"(\s*\d*\s*(?:,\s*\d*\s*)*)"
+# The spec grammar as a sequence of steps, each skipping leading whitespace.
+_SPEC_STEPS = tuple(re.compile(r"\s*" + token) for token in
+                    ("n", "=", r"(\d+)", ";", "R", "=", _LIST, ";",
+                     "T", "=", _LIST, r"\Z"))
+_SPACE = re.compile(r"\s*")
+_PIECE = re.compile(r"[^,;]*")
 
 
 def parse_spec(text):
     """Parse 'n=<int>; R=<comma list>; T=<comma list>' (whitespace-free
-    or not); residues are reduced mod 2n."""
-    match = _SPEC_RE.match(text)
-    if match is None:
-        for pos, (ch_a, ch_b) in enumerate(zip(text, "n=")):
-            if ch_a != ch_b:
-                break
-        else:
-            pos = 0
-        raise SpecParseError("expected 'n=<int>; R=<list>; T=<list>'", pos)
-
-    def parse_list(chunk, offset):
-        values = []
-        for piece in chunk.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            if not piece.isdecimal():
-                raise SpecParseError(f"bad residue {piece!r}",
-                                     offset + chunk.find(piece))
-            values.append(int(piece))
-        return values
-
-    n = int(match.group(1))
+    or not); residues are reduced mod 2n.  A malformed spec is reported
+    at the first character at which no valid spec can continue."""
+    captured, pos, after_list = [], 0, False
+    for step in _SPEC_STEPS:
+        match = step.match(text, pos)
+        if match is None:
+            pos = _SPACE.match(text, pos).end()
+            piece = _PIECE.match(text, pos)[0].strip()
+            raise SpecParseError(
+                f"bad residue {piece!r}" if after_list and piece
+                else "expected 'n=<int>; R=<list>; T=<list>'", pos)
+        if step.groups:
+            captured.append(match)
+        pos, after_list = match.end(), step.pattern.endswith(_LIST)
+    n_match, r_match, t_match = captured
+    n = int(n_match[1])
     if n < 1:
-        raise SpecParseError("n must be >= 1", match.start(1))
-    R = parse_list(match.group(2), match.start(2))
-    T = parse_list(match.group(3), match.start(3))
-    return validate_spec(n, R, T)
+        raise SpecParseError("n must be >= 1", n_match.start(1))
+    return validate_spec(n, map(int, re.findall(r"\d+", r_match[1])),
+                         map(int, re.findall(r"\d+", t_match[1])))

@@ -251,10 +251,10 @@ def cmd_fourier(args):
     payload = {
         "schema_version": 1,
         "spec": spec.to_dict(),
-        "dft_R": [round_complex(z) for z in r.values],
-        "dft_T": [round_complex(z) for z in t.values],
+        "dft_R": [round_complex(z) for z in r],
+        "dft_T": [round_complex(z) for z in t],
         "unit_orbits": [{"order": order, "members": sorted(members)}
-                        for order, members in orbits.orbits],
+                        for order, members in orbits],
         "transversals": {
             str(div): {"R+0": fourier.is_transversal(set(spec.R) | {0}, div, m),
                        "T": fourier.is_transversal(spec.T, div, m)}
@@ -285,10 +285,9 @@ def build_parser():
                     "construction, classification, and exhaustive surveys.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_arg=False):
+    def common(p, spec_arg=False, formats=("json", "text")):
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=["json", "csv", "text"],
-                       default="text")
+        p.add_argument("--format", choices=formats, default="text")
         if spec_arg:
             p.add_argument("spec", help="'n=<int>; R=<list>; T=<list>'")
 
@@ -301,7 +300,7 @@ def build_parser():
     p_classify.set_defaults(func=cmd_classify)
 
     p_survey = sub.add_parser("survey", help="full survey per n")
-    common(p_survey)
+    common(p_survey, formats=("json", "csv", "text"))
     n_choice = p_survey.add_mutually_exclusive_group(required=True)
     n_choice.add_argument("--n", type=int)
     n_choice.add_argument("--n-range", metavar="A..B")

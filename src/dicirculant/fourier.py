@@ -1,8 +1,9 @@
 """Characteristic functions on Z_m, exact convolution, the DFT with
 root of unity w = exp(2*pi*i/m) (= exp(pi*i/n) when m = 2n), unit-orbit
-decomposition, the transversal predicate, and the two spectral identities
-satisfied by distance-regular dicirculants.
+decomposition, coset counts and transversals, and the two spectral
+identities satisfied by distance-regular dicirculants.
 
+A function f on Z_m is a tuple of length m holding f(0), ..., f(m-1).
 The DFT is floating point and serves only as a diagnostic; the spectral
 identities are decided exactly, by integer convolution.
 """
@@ -10,7 +11,6 @@ identities are decided exactly, by integer convolution.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from math import gcd
 
 class ModulusMismatchError(ValueError):
@@ -25,104 +25,66 @@ class PreconditionViolatedError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IntegerFunction:
-    values: tuple
-    modulus: int
-
-    def __post_init__(self):
-        if len(self.values) != self.modulus:
-            raise ValueError("value vector length must equal the modulus")
-
-
 def indicator(A, m):
     A = {a % m for a in A}
-    return IntegerFunction(tuple(1 if i in A else 0 for i in range(m)), m)
+    return tuple(1 if i in A else 0 for i in range(m))
 
 
 def convolve(f, g):
     """(f*g)(z) = sum_i f(i) g(z-i), exact over the integers."""
-    if f.modulus != g.modulus:
-        raise ModulusMismatchError(f"{f.modulus} != {g.modulus}")
-    m = f.modulus
-    values = tuple(sum(f.values[i] * g.values[(z - i) % m] for i in range(m))
-                   for z in range(m))
-    return IntegerFunction(values, m)
-
-
-@dataclass(frozen=True)
-class FourierVector:
-    values: tuple  # complex
-    modulus: int
+    if len(f) != len(g):
+        raise ModulusMismatchError(f"{len(f)} != {len(g)}")
+    m = len(f)
+    return tuple(sum(f[i] * g[(z - i) % m] for i in range(m))
+                 for z in range(m))
 
 
 def dft(f):
     """(Ff)(z) = sum_i f(i) w^(iz) with w the primitive m-th root of
     unity exp(2*pi*i/m)."""
-    m = f.modulus
+    m = len(f)
     omega = cmath.exp(2j * cmath.pi / m) if m > 1 else 1.0
     powers = [omega ** e for e in range(m)]
-    values = tuple(sum(f.values[i] * powers[(i * z) % m] for i in range(m))
-                   for z in range(m))
-    return FourierVector(values, m)
+    return tuple(sum(f[i] * powers[(i * z) % m] for i in range(m))
+                 for z in range(m))
 
 
 def dft_of_set(A, m):
     return dft(indicator(A, m))
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
-    """Orbits of the unit action on Z_m, keyed by the additive order r of
-    their members; the orbit for r has phi(r) elements."""
-
-    orbits: tuple  # of (r, frozenset) sorted by r
-    modulus: int
-
-
 def unit_orbits(m):
+    """Orbits of the unit action on Z_m as (r, members) pairs sorted by
+    the additive order r of their members; the orbit for r has phi(r)
+    elements."""
     by_order = {}
     for x in range(m):
         r = m // gcd(x, m) if m > 1 else 1
         by_order.setdefault(r, set()).add(x)
-    orbits = tuple((r, frozenset(members))
-                   for r, members in sorted(by_order.items()))
-    return OrbitPartition(orbits, m)
+    return tuple((r, frozenset(members))
+                 for r, members in sorted(by_order.items()))
 
 
-def _check_divisor(r, m):
+def coset_profile(A, r, m):
+    """The counts e_i = |A n (i + rZ_m)| for i = 0..r-1."""
     if r < 1 or m % r != 0:
         raise InvalidDivisorError(f"{r} does not divide {m}")
+    counts = [0] * r
+    for a in A:
+        counts[a % m % r] += 1
+    return tuple(counts)
 
 
 def is_transversal(A, r, m):
     """True iff A meets each of the r cosets of rZ_m exactly once."""
-    _check_divisor(r, m)
-    counts = [0] * r
-    for a in A:
-        counts[a % r] += 1
-    return all(count == 1 for count in counts)
+    return coset_profile(A, r, m) == (1,) * r
 
 
-@dataclass(frozen=True)
-class CosetCountProfile:
-    divisor: int
-    counts: tuple  # e_i = |A n (i + rZ_m)|
-
-
-def coset_profile(A, r, m):
-    _check_divisor(r, m)
-    counts = [0] * r
-    for a in A:
-        counts[a % m % r] += 1
-    return CosetCountProfile(r, tuple(counts))
-
-
-def profile_reconstruction(profile, m):
+def profile_reconstruction(counts, m):
     """sum_i e_i xi^i with xi = w^(m/r); equals (F Delta_A)(m/r)."""
-    r = profile.divisor
+    r = len(counts)
     xi = cmath.exp(2j * cmath.pi / m * (m // r)) if m > 1 else 1.0
-    return sum(e * xi ** i for i, e in enumerate(profile.counts))
+    return sum(e * xi ** i for i, e in enumerate(counts))
 
 
 def check_fourier_lemma(spec, dp, array):
@@ -143,12 +105,11 @@ def check_fourier_lemma(spec, dp, array):
     m = 2 * spec.n
     lam = array.lam
     mu = array.mu if array.mu is not None else 0
-    r2 = indicator(dp.r_sets[2] if dp.diameter >= 2 else (), m).values
-    t2 = indicator(dp.t_sets[2] if dp.diameter >= 2 else (), m).values
-    R, T = indicator(spec.R, m), indicator(spec.T, m)
-    rr = convolve(R, R).values
-    tt = convolve(T, indicator({-t for t in spec.T}, m)).values
-    rt = convolve(R, T).values
-    r, t = R.values, T.values
+    r2 = indicator(dp.r_sets[2] if dp.diameter >= 2 else (), m)
+    t2 = indicator(dp.t_sets[2] if dp.diameter >= 2 else (), m)
+    r, t = indicator(spec.R, m), indicator(spec.T, m)
+    rr = convolve(r, r)
+    tt = convolve(t, indicator({-x for x in spec.T}, m))
+    rt = convolve(r, t)
     return all(rr[z] + tt[z] == (z == 0) * array.k + lam * r[z] + mu * r2[z]
                and 2 * rt[z] == lam * t[z] + mu * t2[z] for z in range(m))

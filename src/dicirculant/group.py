@@ -1,13 +1,14 @@
 """Exact arithmetic in the dicyclic group of order 4n.
 
-Dic_n = <a, b | a^(2n) = 1, b^2 = a^n, b a b^-1 = a^-1>.  Elements are
-stored as (exponent mod 2n, flip) where flip marks a trailing b factor.
+Dic_n = <a, b | a^(2n) = 1, b^2 = a^n, b a b^-1 = a^-1>.  The element
+a^e b^f (0 <= e < 2n, f in {0, 1}) is the int e + 2n*f, so 0 is the
+identity, 0..2n-1 is <a> and 2n is b.  Subgroups are frozensets of these
+ints and an automorphism is its (u, v) pair.
 For n = 1 this degenerates to Z_4; everything here accepts n >= 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 
@@ -19,66 +20,38 @@ class InvalidAutomorphismError(ValueError):
     """The scaling parameter u is not a unit modulo 2n."""
 
 
-@dataclass(frozen=True, order=True)
-class Element:
-    exp: int
-    flip: bool
-
-    def __repr__(self):
-        if not self.flip:
-            return "1" if self.exp == 0 else f"a^{self.exp}"
-        return "b" if self.exp == 0 else f"a^{self.exp}*b"
-
-
-IDENTITY = Element(0, False)
-
-
-def elements(n):
-    """All 4n elements, cyclic part first, in exponent order."""
-    return [Element(e, f) for f in (False, True) for e in range(2 * n)]
-
-
-def multiply(g, h, n):
+def multiply(x, y, n):
     m = 2 * n
-    if not g.flip:
-        return Element((g.exp + h.exp) % m, h.flip)
-    if not h.flip:
+    if x < m:
+        # a^i a^j b^f = a^(i+j) b^f
+        return (x + y) % m + (y >= m) * m
+    if y < m:
         # a^i b a^j = a^(i-j) b
-        return Element((g.exp - h.exp) % m, True)
+        return (x - y) % m + m
     # a^i b a^j b = a^(i-j) b^2 = a^(i-j+n)
-    return Element((g.exp - h.exp + n) % m, False)
+    return (x - y + n) % m
 
 
-def inverse(g, n):
+def inverse(x, n):
     m = 2 * n
-    if not g.flip:
-        return Element(-g.exp % m, False)
-    return Element((g.exp + n) % m, True)
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    order: int
-    members: frozenset
+    if x < m:
+        return -x % m
+    return (x + n) % m + m
 
 
 def generated_subgroup(gens, n):
     """Closure of gens under multiplication."""
-    members = {IDENTITY}
-    frontier = [IDENTITY]
-    gens = list(gens)
+    members = {0}
+    frontier = [0]
+    steps = [s for g in gens for s in (g, inverse(g, n))]
     while frontier:
         g = frontier.pop()
-        for s in gens:
+        for s in steps:
             prod = multiply(g, s, n)
             if prod not in members:
                 members.add(prod)
                 frontier.append(prod)
-            prod = multiply(g, inverse(s, n), n)
-            if prod not in members:
-                members.add(prod)
-                frontier.append(prod)
-    return Subgroup(len(members), frozenset(members))
+    return frozenset(members)
 
 
 def subgroup_of_order(n, m):
@@ -87,47 +60,35 @@ def subgroup_of_order(n, m):
     if m < 1 or (4 * n) % m != 0:
         raise InvalidOrderError(f"order {m} does not divide {4 * n}")
     if (2 * n) % m == 0:
-        return generated_subgroup([Element((2 * n) // m, False)], n)
+        # a^(2n/m), reduced so that m = 1 gives the identity and not b
+        return generated_subgroup([(2 * n) // m % (2 * n)], n)
     # m | 4n but m does not divide 2n forces 4 | m and (m/4) | n
-    d = m // 4
-    return generated_subgroup([Element(n // d, False), Element(0, True)], n)
-
-
-@dataclass(frozen=True)
-class AutomorphismParams:
-    """a -> a^u, b -> a^v b.  Any unit u works: the relations
-    b^2 = a^n and b a b^-1 = a^-1 are preserved for every v."""
-
-    u: int
-    v: int
-
-    def validate(self, n):
-        if gcd(self.u, 2 * n) != 1:
-            raise InvalidAutomorphismError(f"u={self.u} is not a unit mod {2 * n}")
+    return generated_subgroup([n // (m // 4), 2 * n], n)
 
 
 def automorphism_params(n):
-    """All (u, v) with u a unit of Z_2n, in a fixed order."""
+    """All (u, v) with u a unit of Z_2n, in a fixed order: the
+    automorphism a -> a^u, b -> a^v b.  Any unit u works: the relations
+    b^2 = a^n and b a b^-1 = a^-1 are preserved for every v."""
     m = 2 * n
-    return [AutomorphismParams(u, v) for u in range(m) if gcd(u, m) == 1
-            for v in range(m)]
+    return [(u, v) for u in range(m) if gcd(u, m) == 1 for v in range(m)]
 
 
 def transform_sets(params, n, R, T):
     """Image (uR, uT + v) of a connection set under the (u, v) automorphism."""
-    params.validate(n)
+    u, v = params
     m = 2 * n
-    return (frozenset((params.u * r) % m for r in R),
-            frozenset((params.u * t + params.v) % m for t in T))
+    if gcd(u, m) != 1:
+        raise InvalidAutomorphismError(f"u={u} is not a unit mod {m}")
+    return (frozenset((u * r) % m for r in R),
+            frozenset((u * t + v) % m for t in T))
 
 
 def multiplication_table(n):
-    """Cayley table of Dic_n as index tuples; identity has index 0.
+    """Cayley table of Dic_n: table[x][y] = multiply(x, y, n).
 
-    Returns (table, elems) with elems in elements(n) order, so
-    table[i][j] is the index of elems[i] * elems[j].
+    Returns (table, range(4n)), the second item listing the elements in
+    row order.
     """
-    elems = elements(n)
-    index = {g: i for i, g in enumerate(elems)}
-    table = tuple(tuple(index[multiply(g, h, n)] for h in elems) for g in elems)
-    return table, elems
+    elems = range(4 * n)
+    return tuple(tuple(multiply(x, y, n) for y in elems) for x in elems), elems

@@ -1,6 +1,6 @@
 import pytest
 
-from dicirculant import cayley, search
+from dicirculant import search
 
 
 def all_valid_specs(n, dedup=False):

@@ -76,11 +76,7 @@ class TestBuild:
             g = build_graph(spec)
             for target in range(4 * n):
                 # relabel by left multiplication with the target element
-                lm = cayley.vertex_element(target, n)
-                image = []
-                for v in g.neighbors(0):
-                    h = group.multiply(lm, cayley.vertex_element(v, n), n)
-                    image.append(h.exp + 2 * n * h.flip)
+                image = [group.multiply(target, v, n) for v in g.neighbors(0)]
                 assert sorted(image) == sorted(g.neighbors(target))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -99,9 +95,8 @@ class TestIsSubgroup:
             R = {i for i in range(m) if r_mask >> i & 1}
             for t_mask in range(1 << m):
                 T = {i for i in range(m) if t_mask >> i & 1}
-                members = ({group.Element(r, False) for r in R}
-                           | {group.Element(t, True) for t in T})
-                closed = group.generated_subgroup(members, n).members == members
+                members = R | {t + m for t in T}
+                closed = group.generated_subgroup(members, n) == members
                 assert is_subgroup(n, R, T) == closed, (R, T)
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -109,9 +104,9 @@ class TestIsSubgroup:
         for m in range(1, 4 * n + 1):
             if (4 * n) % m:
                 continue
-            members = group.subgroup_of_order(n, m).members
-            assert is_subgroup(n, {g.exp for g in members if not g.flip},
-                               {g.exp for g in members if g.flip}), m
+            members = group.subgroup_of_order(n, m)
+            assert is_subgroup(n, {g for g in members if g < 2 * n},
+                               {g - 2 * n for g in members if g >= 2 * n}), m
 
 
 class TestCanonicalize:
@@ -165,9 +160,12 @@ class TestParsing:
         assert spec.sorted_sets() == ((1, 3), (0, 2))
 
     def test_garbage_reports_position(self):
+        # the first character at which no valid spec can continue
         for text, position in [("x=2; R=1; T=0", 0), ("n=2; R=1,3; T=x", 14),
                                ("n=2; R=1,-3; T=0,2", 9),
-                               ("n=2; R=²; T=0,2", 7)]:
+                               ("n=2; R=²; T=0,2", 7),
+                               ("n=2; R=1,3, T=0,2", 12), ("n=x; R=1; T=0", 2),
+                               ("n=2; Q=1; T=0", 5)]:
             with pytest.raises(SpecParseError) as err:
                 parse_spec(text)
             assert err.value.position == position, text

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from conftest import all_valid_specs

@@ -50,7 +50,10 @@ class TestCheck:
         assert "RNotSymmetric" in err
 
     def test_garbage_is_usage_error(self, capsys):
-        for text, position in [("whatever", 0), ("n=2; R=²; T=0,2", 7)]:
+        # the first character at which no valid spec can continue
+        for text, position in [("whatever", 0), ("n=2; R=²; T=0,2", 7),
+                               ("n=2; R=1,3, T=0,2", 12), ("n=x; R=1; T=0", 2),
+                               ("n=2; Q=1; T=0", 5)]:
             code, out, err = run(capsys, "check", text)
             assert code == EXIT_USAGE and out == "", text
             assert "malformed" in err and f"(at position {position})" in err
@@ -338,6 +341,15 @@ PARSER_REUSE_CALLS = [
     ["survey", "--format", "csv", "--n", "1"], ["survey", "--n", "1"],
     DS_ARGS + ["--limit", "1"], DS_ARGS,
 ]
+
+
+@pytest.mark.parametrize("argv", [["check", SPEC], ["classify", SPEC],
+                                  ["fourier", SPEC], DS_ARGS],
+                         ids=lambda argv: argv[0])
+def test_csv_format_is_survey_only(capsys, argv):
+    code, out, err = run(capsys, *argv[:1], "--format", "csv", *argv[1:])
+    assert code == EXIT_USAGE and out == "", argv
+    assert "invalid choice: 'csv'" in err, argv
 
 
 def test_shared_parser_matches_fresh_parser(capsys, monkeypatch):

@@ -1,6 +1,7 @@
-"""Dead-code guard: every module-level function and class in the package
+"""Dead-code guards: every module-level function and class in the package
 is named somewhere in the package besides its own definition, is public
-API, or is an oracle that the tests or the acceptance criteria use."""
+API, or is an oracle that the tests or the acceptance criteria use; and
+no module of the package or of the tests imports a name it never uses."""
 
 import ast
 import collections
@@ -9,6 +10,7 @@ import pathlib
 import dicirculant
 
 SRC = pathlib.Path(dicirculant.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 # Kept although nothing in the package calls them.  A new helper that only
 # tests reach belongs here, with its reason, or nowhere.
@@ -18,7 +20,6 @@ ORACLES = {
     "antipodal_classes": "graph-level antipodality, the reference for shell_flags",
     "is_primitive": "graph-level primitivity, the reference for shell_flags",
     "halved_graphs": "halves of the n = 8 bipartite witness, checked complete in acceptance",
-    "coset_profile": "coset counts e_i for the profile-reconstruction acceptance check",
     "profile_reconstruction": "sum e_i xi^i, checked against the DFT value in acceptance",
 }
 
@@ -36,3 +37,25 @@ def test_every_definition_is_used_exported_or_an_oracle():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and uses[node.name] == _names(node)[node.name]}
     assert unused - set(dicirculant.__all__) == set(ORACLES)
+
+
+def _unused_imports(tree):
+    """Names bound by an import that the module never loads, apart from
+    __future__ imports and the names listed in __all__."""
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for name in ast.literal_eval(node.value)}
+    return bound - loaded - exported
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = {f"{path.parent.name}/{path.name}": names for path in paths
+              if (names := _unused_imports(ast.parse(path.read_text())))}
+    assert unused == {}

@@ -1,4 +1,3 @@
-import cmath
 import random
 from collections import namedtuple
 
@@ -8,8 +7,7 @@ from hypothesis import strategies as st
 
 from dicirculant import fourier, group
 from dicirculant.cayley import bit_members, build_graph, validate_spec
-from dicirculant.fourier import (CosetCountProfile, IntegerFunction,
-                                 InvalidDivisorError, ModulusMismatchError,
+from dicirculant.fourier import (InvalidDivisorError, ModulusMismatchError,
                                  convolve, coset_profile, dft, dft_of_set,
                                  indicator, is_transversal,
                                  profile_reconstruction, unit_orbits)
@@ -29,7 +27,7 @@ def float_fourier_lemma(spec, dp, array, tolerance=TOL):
     m = 2 * spec.n
     mu = array.mu if array.mu is not None else 0
     shells = (dp.r_sets[2], dp.t_sets[2]) if dp.diameter >= 2 else ((), ())
-    r, t, r2, t2 = (dft_of_set(A, m).values for A in (spec.R, spec.T, *shells))
+    r, t, r2, t2 = (dft_of_set(A, m) for A in (spec.R, spec.T, *shells))
     return all(
         abs(r[z] ** 2 + abs(t[z]) ** 2 - array.k - array.lam * r[z] - mu * r2[z])
         <= tolerance
@@ -37,20 +35,14 @@ def float_fourier_lemma(spec, dp, array, tolerance=TOL):
         for z in range(m))
 
 
-def direct_convolution(f, g):
-    m = f.modulus
-    return tuple(sum(f.values[i] * g.values[(z - i) % m] for i in range(m))
-                 for z in range(m))
-
-
 class TestConvolution:
     def test_delta_zero_is_identity(self):
-        f = IntegerFunction((3, 1, 4, 1), 4)
-        assert convolve(f, indicator({0}, 4)).values == f.values
+        f = (3, 1, 4, 1)
+        assert convolve(f, indicator({0}, 4)) == f
 
     def test_small_example(self):
         f = indicator({0, 2}, 4)
-        assert convolve(f, f).values == (2, 0, 2, 0)
+        assert convolve(f, f) == (2, 0, 2, 0)
 
     def test_modulus_mismatch(self):
         with pytest.raises(ModulusMismatchError):
@@ -60,9 +52,9 @@ class TestConvolution:
         rng = random.Random(7)
         for _ in range(100):
             m = rng.randint(1, 64)
-            f = IntegerFunction(tuple(rng.randint(-5, 5) for _ in range(m)), m)
-            g = IntegerFunction(tuple(rng.randint(-5, 5) for _ in range(m)), m)
-            assert convolve(f, g).values == convolve(g, f).values
+            f = tuple(rng.randint(-5, 5) for _ in range(m))
+            g = tuple(rng.randint(-5, 5) for _ in range(m))
+            assert convolve(f, g) == convolve(g, f)
 
     def test_indicator_convolution_counts_intersections(self):
         # (Delta_A * Delta_B)(i) = |(i-A) n B|
@@ -73,56 +65,56 @@ class TestConvolution:
             B = {rng.randrange(m) for _ in range(rng.randint(0, m))}
             conv = convolve(indicator(A, m), indicator(B, m))
             for i in range(m):
-                assert conv.values[i] == len({(i - a) % m for a in A} & B)
+                assert conv[i] == len({(i - a) % m for a in A} & B)
 
 
 class TestDFT:
     def test_delta_zero_transforms_to_ones(self):
         fv = dft(indicator({0}, 6))
-        assert all(abs(z - 1) < TOL for z in fv.values)
+        assert all(abs(z - 1) < TOL for z in fv)
 
     def test_all_ones_concentrates(self):
-        fv = dft(IntegerFunction((1,) * 6, 6))
-        assert abs(fv.values[0] - 6) < TOL
-        assert all(abs(z) < TOL for z in fv.values[1:])
+        fv = dft((1,) * 6)
+        assert abs(fv[0] - 6) < TOL
+        assert all(abs(z) < TOL for z in fv[1:])
 
     def test_small_example(self):
         fv = dft(indicator({0, 2}, 4))
         expected = (2, 0, 2, 0)
-        assert all(abs(a - b) < TOL for a, b in zip(fv.values, expected))
+        assert all(abs(a - b) < TOL for a, b in zip(fv, expected))
 
     def test_value_at_zero_is_set_size(self):
         fv = dft_of_set({1, 3, 4}, 9)
-        assert abs(fv.values[0].real - 3) < TOL
-        assert abs(fv.values[0].imag) < 1e-12
+        assert abs(fv[0].real - 3) < TOL
+        assert abs(fv[0].imag) < 1e-12
 
     def test_convolution_theorem_random(self):
         rng = random.Random(5)
         for _ in range(200):
             m = rng.randint(1, 128)
-            f = IntegerFunction(tuple(rng.randint(0, 3) for _ in range(m)), m)
-            g = IntegerFunction(tuple(rng.randint(0, 3) for _ in range(m)), m)
-            lhs = dft(convolve(f, g)).values
-            ff, gg = dft(f).values, dft(g).values
+            f = tuple(rng.randint(0, 3) for _ in range(m))
+            g = tuple(rng.randint(0, 3) for _ in range(m))
+            lhs = dft(convolve(f, g))
+            ff, gg = dft(f), dft(g)
             assert all(abs(lhs[z] - ff[z] * gg[z]) < 1e-6 * max(1, m)
                        for z in range(m))
 
 
 class TestOrbits:
     def test_m6(self):
-        orbits = dict(unit_orbits(6).orbits)
+        orbits = dict(unit_orbits(6))
         assert orbits == {1: frozenset({0}), 2: frozenset({3}),
                           3: frozenset({2, 4}), 6: frozenset({1, 5})}
 
     def test_m4(self):
-        orbits = dict(unit_orbits(4).orbits)
+        orbits = dict(unit_orbits(4))
         assert orbits == {1: frozenset({0}), 2: frozenset({2}),
                           4: frozenset({1, 3})}
 
     @pytest.mark.parametrize("m", range(1, 65))
     def test_sizes_are_totients(self, m):
         from sympy import totient
-        for r, members in unit_orbits(m).orbits:
+        for r, members in unit_orbits(m):
             assert m % r == 0
             assert len(members) == totient(r)
 
@@ -130,11 +122,11 @@ class TestOrbits:
         # contrapositive form of the rationality lemma
         rng = random.Random(3)
         for m in range(1, 33):
-            orbits = unit_orbits(m).orbits
+            orbits = unit_orbits(m)
             for _ in range(5):
                 chosen = [members for _, members in orbits if rng.random() < 0.5]
                 A = set().union(*chosen) if chosen else set()
-                for z in dft_of_set(A, m).values:
+                for z in dft_of_set(A, m):
                     assert abs(z.imag) < 1e-9
                     assert abs(z.real - round(z.real)) < 1e-6
 
@@ -152,7 +144,7 @@ class TestTransversals:
 
     def test_transversal_vanishing(self):
         # F Delta_{0,1}(2) = 1 + w^2 = 0 for m = 4
-        assert abs(dft_of_set({0, 1}, 4).values[2]) < TOL
+        assert abs(dft_of_set({0, 1}, 4)[2]) < TOL
 
     @pytest.mark.parametrize("m", [4, 6, 8, 9, 12])
     def test_vanishing_on_random_transversals(self, m):
@@ -163,7 +155,7 @@ class TestTransversals:
             for _ in range(10):
                 A = {i + r * rng.randrange(m // r) for i in range(r)}
                 assert is_transversal(A, r, m)
-                fv = dft_of_set(A, m).values
+                fv = dft_of_set(A, m)
                 for mult in range(1, r):
                     if mult % r == 0:
                         continue
@@ -175,12 +167,12 @@ class TestTransversals:
 class TestCosetProfiles:
     def test_example_m6(self):
         profile = coset_profile({1, 2, 4}, 3, 6)
-        assert profile == CosetCountProfile(3, (0, 2, 1))
+        assert profile == (0, 2, 1)
         recon = profile_reconstruction(profile, 6)
-        assert abs(recon - dft_of_set({1, 2, 4}, 6).values[2]) < TOL
+        assert abs(recon - dft_of_set({1, 2, 4}, 6)[2]) < TOL
 
     def test_example_m4(self):
-        assert coset_profile({0, 1}, 2, 4).counts == (1, 1)
+        assert coset_profile({0, 1}, 2, 4) == (1, 1)
 
     def test_counts_partition_the_set(self):
         rng = random.Random(2)
@@ -190,13 +182,13 @@ class TestCosetProfiles:
             for r in range(1, m + 1):
                 if m % r:
                     continue
-                assert sum(coset_profile(A, r, m).counts) == len(A)
+                assert sum(coset_profile(A, r, m)) == len(A)
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_reconstruction_exhaustive_small(self, m):
         for mask in range(1 << m):
             A = {i for i in range(m) if mask >> i & 1}
-            fv = dft_of_set(A, m).values
+            fv = dft_of_set(A, m)
             for r in range(1, m + 1):
                 if m % r:
                     continue
@@ -227,7 +219,7 @@ class TestLemmas:
         # of m, has p = 2 or A = pZ_m
         primes = [p for p in range(2, m + 1) if m % p == 0
                   and all(p % q for q in range(2, p))]
-        orbits = [members for _, members in unit_orbits(m).orbits]
+        orbits = [members for _, members in unit_orbits(m)]
         for p in primes:
             for mask in range(1 << len(orbits)):
                 chosen = [orb for b, orb in enumerate(orbits) if mask >> b & 1]
@@ -269,13 +261,13 @@ class TestExactFourierLemma:
         if data.draw(st.booleans(), label="subgroup complement"):
             order = data.draw(st.sampled_from(
                 [d for d in range(1, 4 * n) if 4 * n % d == 0]), label="|H|")
-            H = group.subgroup_of_order(n, order).members
+            H = group.subgroup_of_order(n, order)
             params = data.draw(st.sampled_from(group.automorphism_params(n)),
                                label="(u, v)")
-            S = [g for g in group.elements(n) if g not in H]
+            S = [g for g in range(4 * n) if g not in H]
             R, T = group.transform_sets(params, n,
-                                        {g.exp for g in S if not g.flip},
-                                        {g.exp for g in S if g.flip})
+                                        {g for g in S if g < 2 * n},
+                                        {g - 2 * n for g in S if g >= 2 * n})
         else:
             r_pairs = data.draw(st.sets(st.integers(1, n)), label="R pairs")
             t_pairs = data.draw(st.sets(st.integers(0, n - 1), min_size=1),

@@ -1,7 +1,6 @@
 import pytest
 
 from conftest import all_valid_specs, naive_bfs_distances
-from dicirculant import cayley, metrics
 from dicirculant.cayley import bitset, build_graph, validate_spec
 from dicirculant.metrics import (DisconnectedGraphError, IntersectionArray,
                                  NotDRGWitness, bfs_distances,

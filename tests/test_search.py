@@ -32,9 +32,9 @@ def orbit_representatives(n):
                         for x in (i, i + n)) for mask in range(1 << n)]
     # (u, v) moves R pair i to the pair holding u*i and T pair i to
     # pair (u*i + v) mod n; distinct maps as (R, T) bit permutations.
-    maps = {(tuple(min(p.u * i % m, -p.u * i % m) - 1 for i in range(1, n + 1)),
-             tuple((p.u * i + p.v) % n for i in range(n)))
-            for p in group.automorphism_params(n)}
+    maps = {(tuple(min(u * i % m, -u * i % m) - 1 for i in range(1, n + 1)),
+             tuple((u * i + v) % n for i in range(n)))
+            for u, v in group.automorphism_params(n)}
     # per map, the image of every r_mask and of every t_mask
     tables = [tuple([sum(1 << perm[b] for b in range(n) if mask >> b & 1)
                      for mask in range(1 << n)] for perm in perms)
@@ -82,9 +82,8 @@ class TestEnumeration:
     def test_connectivity_matches_subgroup_closure(self, n):
         # oracle: close the connection set under multiplication
         for spec in enumerate_specs(n, dedup=False):
-            gens = [group.Element(r, False) for r in spec.R]
-            gens += [group.Element(t, True) for t in spec.T]
-            closed = bool(gens) and group.generated_subgroup(gens, n).order == 4 * n
+            gens = [*spec.R, *(t + 2 * n for t in spec.T)]
+            closed = bool(gens) and len(group.generated_subgroup(gens, n)) == 4 * n
             assert generates_group(n, spec.R, spec.T) == spec.connected == closed
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -105,9 +104,8 @@ class TestEnumeration:
             j = data.draw(st.integers(0, d - 1), label="j")
             t_steps = data.draw(st.sets(st.integers(0, n // d - 1)), label="T steps")
             T = {(j + i * d + s) % m for i in t_steps for s in (0, n)}
-        gens = [group.Element(r, False) for r in R]
-        gens += [group.Element(t, True) for t in T]
-        closed = group.generated_subgroup(gens, n).order == 4 * n
+        gens = [*R, *(t + m for t in T)]
+        closed = len(group.generated_subgroup(gens, n)) == 4 * n
         assert generates_group(n, R, T) == closed
 
     @pytest.mark.parametrize("n, dedup", [(n, True) for n in range(1, 8)]

@@ -115,8 +115,8 @@ def _subgroup_complements(n):
         if (4 * n) % m:
             continue
         sub = group.subgroup_of_order(n, m)
-        R = {g.exp for g in sub.members if not g.flip and g.exp != 0}
-        T = {g.exp for g in sub.members if g.flip}
+        R = {g for g in sub if 0 < g < 2 * n}
+        T = {g - 2 * n for g in sub if g >= 2 * n}
         yield m, validate_spec(n, set(range(1, 2 * n)) - R, set(range(2 * n)) - T)
 
 
