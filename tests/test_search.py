@@ -1,6 +1,8 @@
 import functools
+import gc
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -226,19 +228,71 @@ class TestSurvey:
         assert connected_non_drg > 0 or n == 1
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_rows_equal_evaluate_spec_without_graph(self, n, surveys_upto_6):
+    def test_rows_equal_evaluate_spec_without_graph(self, n):
         # the survey's graphs come from rotation lists it shares between
         # specs; evaluate_spec(spec) builds its own with build_graph
-        rows = surveys_upto_6[n].rows
+        rows = list(search.survey_rows(n))
         assert [row.spec.sorted_sets() for row in rows] \
             == sorted(row.spec.sorted_sets() for row in rows)
         for row in rows:
             assert row == search.evaluate_spec(row.spec)
 
     def test_deterministic_json(self):
-        a = json.dumps(survey(3).to_dict(include_rows=True), sort_keys=True)
-        b = json.dumps(survey(3).to_dict(include_rows=True), sort_keys=True)
+        a = json.dumps(survey(3).to_dict(), sort_keys=True)
+        b = json.dumps(survey(3).to_dict(), sort_keys=True)
         assert a == b
+        assert list(search.survey_rows(3)) == list(search.survey_rows(3))
+
+    @pytest.mark.parametrize("flipped", [False, True])
+    @pytest.mark.parametrize("n, dedup", [(n, True) for n in range(1, 7)]
+                             + [(n, False) for n in range(1, 5)])
+    def test_fold_equals_stream(self, n, dedup, flipped, monkeypatch):
+        if flipped:
+            # a classifier that contradicts the BFS on every connected
+            # spec, so every connected row carries a failure record
+            def flip(spec):
+                if classifier.classify(spec).tag == classifier.NOT_DRG:
+                    return classifier.Classification(
+                        classifier.COMPLETE, (4 * spec.n,), ("flipped",))
+                return classifier.Classification(
+                    classifier.NOT_DRG, (), ("flipped",))
+            monkeypatch.setattr(search, "classify", flip)
+        report = survey(n, dedup)
+        rows = list(search.survey_rows(n, dedup))
+        assert report.total_specs == 4 ** n == len(list(
+            enumerate_specs(n, dedup=False)))
+        assert report.canonical_classes == len(list(enumerate_specs(n)))
+        assert len(rows) == (report.canonical_classes if dedup else 4 ** n)
+        assert report.connected_specs == sum(row.spec.connected for row in rows)
+        assert report.drg_instances == [row.instance for row in rows
+                                        if row.instance is not None]
+        failed = [row for row in rows if row.cross_check_failed]
+        assert len(failed) == (report.connected_specs if flipped else 0)
+        assert report.cross_check_failures == [
+            {"spec": repr(row.spec), "bfs_drg": row.drg,
+             "classifier_tag": row.classification.tag,
+             "classifier_evidence": list(row.classification.evidence),
+             **search.bfs_verdict(row)}
+            for row in failed]
+
+    def test_rows_are_dropped(self, monkeypatch):
+        # the survey folds each row into its report: only what a DRG
+        # instance or a failure record holds may outlive the row
+        evaluate, records = search.evaluate_spec, []
+
+        def recording(spec, graph=None):
+            row = evaluate(spec, graph)
+            records.append((weakref.ref(row),
+                            row.drg or row.cross_check_failed))
+            return row
+
+        monkeypatch.setattr(search, "evaluate_spec", recording)
+        report = survey(5)
+        gc.collect()
+        assert len(records) == report.canonical_classes
+        assert sum(kept for _, kept in records) == len(report.drg_instances)
+        assert [ref for ref, kept in records
+                if not kept and ref() is not None] == []
 
 
 def reference_search_difference_sets(table, v, k, lam, limit=None):
@@ -364,6 +418,14 @@ class TestDifferenceSetSearch:
             search_difference_sets(cyclic_table(7), 7, 0, 0)
         with pytest.raises(ParameterContradictionError):
             search_difference_sets(cyclic_table(0), 0, 0, 0)
+
+    @pytest.mark.parametrize("v, k, lam", [(1, 1, -3), (1, 1, -1), (7, 1, -3)])
+    def test_negative_lambda_rejected(self, v, k, lam):
+        # for v = 1 every lam satisfies k(k-1) = lam(v-1)
+        with pytest.raises(ParameterContradictionError, match="lam >= 0"):
+            search.check_ds_parameters(v, k, lam)
+        with pytest.raises(ParameterContradictionError, match="lam >= 0"):
+            search_difference_sets(cyclic_table(v), v, k, lam)
 
     def test_limit_respected(self):
         table, _ = group.multiplication_table(4)
