@@ -27,8 +27,8 @@ EXIT_CROSS_CHECK = 1
 EXIT_USAGE = 2
 
 # survey(n) evaluates one spec per (u, v) class of 4^n and keeps no row;
-# on a 2-vCPU x86 VM, in a fresh process, n = 11 takes 3-4 s and 27 MB,
-# n = 12 15-23 s and 32 MB, and n = 13 39-45 s and 82 MB, most of it the
+# on a 2-vCPU x86 VM, in a fresh process, n = 11 takes 2-3 s and 20 MB,
+# n = 12 15 s and 25 MB, and n = 13 24-28 s and 35 MB, most of it the
 # enumeration's tables.  n = 14 has about four times the specs of n = 13.
 MAX_SURVEY_N = 13
 # --no-dedup evaluates all 4^n specs, and only CSV keeps their rows, as

@@ -34,15 +34,28 @@ def bfs_distances(g, v):
     return dist
 
 
+def _levels(g, v):
+    """BFS levels N_0(v), N_1(v), ... as bitsets, each the frontier itself.
+    After the last level, raises if some vertex was never reached, naming
+    the least such vertex."""
+    rows = g.rows
+    shell = reached = 1 << v
+    while shell:
+        yield shell
+        nxt = 0
+        for u in bit_members(shell):
+            nxt |= rows[u]
+        shell = nxt & ~reached
+        reached |= shell
+    unreached = ~reached & ((1 << len(rows)) - 1)
+    if unreached:
+        least = (unreached & -unreached).bit_length() - 1
+        raise DisconnectedGraphError(f"vertex {least} unreachable")
+
+
 def distance_shells(g, v):
     """Shells N_0(v)..N_d(v) as bitsets; raises on a disconnected graph."""
-    dist = bfs_distances(g, v)
-    if UNREACHABLE in dist:
-        raise DisconnectedGraphError(f"vertex {dist.index(UNREACHABLE)} unreachable")
-    shells = [0] * (max(dist) + 1)
-    for u, distance in enumerate(dist):
-        shells[distance] |= 1 << u
-    return shells
+    return list(_levels(g, v))
 
 
 @dataclass(frozen=True)
@@ -114,27 +127,40 @@ class NotDRGWitness:
 def _shell_triples(g, base, reference=None):
     """Per-distance (c, a, b) from one base vertex; returns the triples or
     a NotDRGWitness against `reference` (or against the base's own first
-    triple at each distance)."""
-    shells = distance_shells(g, base)
-    d = len(shells) - 1
-    triples = list(reference) if reference is not None else [None] * (d + 1)
-    if reference is not None and len(triples) != d + 1:
+    triple at each distance).
+
+    Level i is checked as soon as the BFS reaches it: an undirected
+    graph joins a level-i vertex only to levels i-1..i+1, so b is its
+    degree less c and a.  After the first unequal triple the BFS only
+    expands, so that a disconnected graph still raises and an unequal
+    eccentricity is still the witness."""
+    rows = g.rows
+    triples = [] if reference is None else reference
+    witness = None
+    below = 0
+    for i, shell in enumerate(_levels(g, base)):
+        if witness is None:
+            # against a reference, i stays within it until a triple
+            # differs: its last b is 0, and a base that matches that has
+            # no further level
+            expected = triples[i] if i < len(triples) else None
+            for v in bit_members(shell):
+                row = rows[v]
+                c = (row & below).bit_count()
+                a = (row & shell).bit_count()
+                triple = (c, a, row.bit_count() - c - a)
+                if expected is None:
+                    expected = triple
+                    triples.append(triple)
+                elif triple != expected:
+                    witness = NotDRGWitness(base, v, i, expected, triple)
+                    break
+        below = shell
+    if reference is not None and i != len(reference) - 1:
         # eccentricity differs between base vertices
-        return NotDRGWitness(base, base, d, ("diameter", len(triples) - 1),
-                             ("diameter", d))
-    for i, shell in enumerate(shells):
-        below = shells[i - 1] if i >= 1 else 0
-        above = shells[i + 1] if i <= d - 1 else 0
-        for v in bit_members(shell):
-            row = g.rows[v]
-            triple = ((row & below).bit_count(),
-                      (row & shell).bit_count(),
-                      (row & above).bit_count())
-            if triples[i] is None:
-                triples[i] = triple
-            elif triples[i] != triple:
-                return NotDRGWitness(base, v, i, triples[i], triple)
-    return triples
+        return NotDRGWitness(base, base, i, ("diameter", len(reference) - 1),
+                             ("diameter", i))
+    return triples if witness is None else witness
 
 
 def is_distance_regular(g, vertex_transitive_hint=False):

@@ -3,6 +3,7 @@ classifier-vs-BFS cross-check, and backtracking difference-set search."""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain, islice, product
 from math import gcd
@@ -99,9 +100,11 @@ def _class_masks(n, r_order, t_order):
             r_perm = tuple(min(u * i % m, -u * i % m) - 1 for i in range(1, n + 1))
             maps |= {(r_perm, tuple((u * i + v) % n for i in range(n)))
                      for v in range(n)}
-    # per permutation, the image of every mask
-    images = {perm: _subset_unions([1 << b for b in perm], 0)
-              for pair in maps for perm in pair}
+    # per permutation, the image of every mask, in 2 bytes each up to
+    # n = 16 and in 8 bytes after (no 2^n table with n > 64 fits in memory)
+    typecode = "H" if n <= 16 else "Q"
+    images = {perm: array(typecode, _subset_unions([1 << b for b in perm], 0))
+              for perm in set(chain.from_iterable(maps))}
     r_marked = bytearray(1 << n)
     for r_mask in r_order:
         if r_marked[r_mask]:

@@ -1,6 +1,10 @@
 import pytest
 
 from dicirculant import search
+from dicirculant.cayley import bit_members
+from dicirculant.metrics import (UNREACHABLE, DisconnectedGraphError,
+                                 IntersectionArray, NotDRGWitness,
+                                 bfs_distances)
 
 
 def all_valid_specs(n, dedup=False):
@@ -20,6 +24,59 @@ def naive_bfs_distances(g, start):
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def two_pass_distance_shells(g, v):
+    """A full distance list, then the shells from it; oracle for the
+    one-loop metrics.distance_shells."""
+    dist = bfs_distances(g, v)
+    if UNREACHABLE in dist:
+        raise DisconnectedGraphError(f"vertex {dist.index(UNREACHABLE)} unreachable")
+    shells = [0] * (max(dist) + 1)
+    for u, distance in enumerate(dist):
+        shells[distance] |= 1 << u
+    return shells
+
+
+def full_bfs_shell_triples(g, base, reference=None):
+    """All shells first, then (c, a, b) per level with b counted in the
+    next shell; oracle for the level-by-level metrics._shell_triples."""
+    shells = two_pass_distance_shells(g, base)
+    d = len(shells) - 1
+    triples = list(reference) if reference is not None else [None] * (d + 1)
+    if reference is not None and len(triples) != d + 1:
+        # eccentricity differs between base vertices
+        return NotDRGWitness(base, base, d, ("diameter", len(triples) - 1),
+                             ("diameter", d))
+    for i, shell in enumerate(shells):
+        below = shells[i - 1] if i >= 1 else 0
+        above = shells[i + 1] if i <= d - 1 else 0
+        for v in bit_members(shell):
+            row = g.rows[v]
+            triple = ((row & below).bit_count(),
+                      (row & shell).bit_count(),
+                      (row & above).bit_count())
+            if triples[i] is None:
+                triples[i] = triple
+            elif triples[i] != triple:
+                return NotDRGWitness(base, v, i, triples[i], triple)
+    return triples
+
+
+def full_bfs_distance_regularity(g, vertex_transitive_hint=False):
+    """metrics.is_distance_regular on full_bfs_shell_triples."""
+    if g.n_vertices == 1:
+        raise DisconnectedGraphError("graph must have at least one edge")
+    triples = full_bfs_shell_triples(g, 0)
+    if isinstance(triples, NotDRGWitness):
+        return triples
+    if not vertex_transitive_hint:
+        for base in range(1, g.n_vertices):
+            result = full_bfs_shell_triples(g, base, reference=triples)
+            if isinstance(result, NotDRGWitness):
+                return result
+    return IntersectionArray(tuple(triples[i][2] for i in range(len(triples) - 1)),
+                             tuple(triples[i][0] for i in range(1, len(triples))))
 
 
 class _SurveyCache(dict):

@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import all_valid_specs, naive_bfs_distances
-from dicirculant.cayley import bitset, build_graph, validate_spec
+from conftest import (all_valid_specs, full_bfs_distance_regularity,
+                      full_bfs_shell_triples, naive_bfs_distances,
+                      two_pass_distance_shells)
+from dicirculant.cayley import Graph, bitset, build_graph, validate_spec
 from dicirculant.metrics import (DisconnectedGraphError, IntersectionArray,
-                                 NotDRGWitness, bfs_distances,
+                                 NotDRGWitness, _shell_triples, bfs_distances,
                                  distance_partition, distance_shells,
                                  is_distance_regular)
 
@@ -100,6 +104,105 @@ class TestDistanceRegularity:
                 b_i = arr.b[i] if i < arr.d else 0
                 c_i = arr.c[i - 1] if i >= 1 else 0
                 assert arr.a(i) + b_i + c_i == arr.k
+
+
+def _outcome(f, *args):
+    """What f returns, or the message of the DisconnectedGraphError it
+    raises."""
+    try:
+        return f(*args)
+    except DisconnectedGraphError as error:
+        return ("DisconnectedGraphError", str(error))
+
+
+def assert_matches_full_bfs(g):
+    """Shells from every vertex, the triples or witness of every base
+    against base 0's triples, and the verdict for both hint values all
+    equal the two-pass oracles', errors and their messages included; the
+    reference triples are not modified."""
+    for v in range(g.n_vertices):
+        assert _outcome(distance_shells, g, v) == _outcome(two_pass_distance_shells, g, v)
+    reference = _outcome(full_bfs_shell_triples, g, 0)
+    assert _outcome(_shell_triples, g, 0) == reference
+    if isinstance(reference, list):
+        for base in range(1, g.n_vertices):
+            assert (_shell_triples(g, base, reference)
+                    == full_bfs_shell_triples(g, base, reference))
+        assert reference == full_bfs_shell_triples(g, 0)  # left as it was
+    for hint in (True, False):
+        assert (_outcome(is_distance_regular, g, hint)
+                == _outcome(full_bfs_distance_regularity, g, hint))
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on 1..12 vertices: random sparse and dense edge sets (mostly
+    irregular, the sparse ones often disconnected), circulants
+    (vertex-transitive, some distance-regular), and disjoint unions of
+    two circulants (regular but disconnected)."""
+    n = draw(st.integers(1, 12), label="vertices")
+    kind = draw(st.sampled_from(["sparse", "dense", "circulant", "two circulants"]),
+                label="kind")
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    if kind in ("sparse", "dense"):
+        drawn = draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()),
+                     label="edges" if kind == "sparse" else "non-edges")
+        edges = drawn if kind == "sparse" else set(pairs) - drawn
+    else:
+        parts = [(0, n)] if kind == "circulant" else [(0, n // 2), (n // 2, n)]
+        jumps = draw(st.sets(st.integers(1, max(1, n // 2))), label="jumps")
+        edges = {(start + i, start + (i + j) % (stop - start))
+                 for start, stop in parts for i in range(stop - start)
+                 for j in jumps if (i + j) % (stop - start) != i}
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(rows)
+
+
+class TestLevelByLevel:
+    """The one-loop BFS and the level-by-level DRG test against their
+    two-pass predecessors."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_spec_matches_full_bfs(self, n):
+        for spec in all_valid_specs(n):
+            assert_matches_full_bfs(build_graph(spec))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_small_graph_matches_full_bfs(self, n):
+        # every labelled graph on n vertices; from n = 4 on some of them
+        # are witnessed by an unequal eccentricity, or by a base other
+        # than 0 at distance 0 or 1
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        for mask in range(1 << len(pairs)):
+            rows = [0] * n
+            for i, (u, v) in enumerate(pairs):
+                if mask >> i & 1:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+            assert_matches_full_bfs(Graph(rows))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(g=small_graphs())
+    def test_random_graph_matches_full_bfs(self, g):
+        assert_matches_full_bfs(g)
+
+    def test_unequal_eccentricity_outranks_an_unequal_triple(self):
+        # path 0-1-2-3: base 1 has degree 2 against base 0's 1, but its
+        # eccentricity 2 against 3 is the witness
+        path = Graph([0b0010, 0b0101, 0b1010, 0b0100])
+        assert is_distance_regular(path) == NotDRGWitness(
+            1, 1, 2, ("diameter", 3), ("diameter", 2))
+
+    @pytest.mark.parametrize("hint", [True, False])
+    def test_disconnection_outranks_an_unequal_triple(self, hint):
+        # edges 0-1, 0-2, 1-3 and the isolated vertex 4: from base 0,
+        # level 1 holds (c, a, b) = (1, 0, 1) and (1, 0, 0)
+        g = Graph([0b00110, 0b01001, 0b00001, 0b00010, 0])
+        with pytest.raises(DisconnectedGraphError, match="^vertex 4 unreachable$"):
+            is_distance_regular(g, hint)
 
 
 class TestCountingLemmas:
