@@ -232,12 +232,14 @@ _SPEC_STEPS = tuple(re.compile(r"\s*" + token) for token in
                      "T", "=", _LIST, r"\Z"))
 _SPACE = re.compile(r"\s*")
 _PIECE = re.compile(r"[^,;]*")
+_NUMERAL = re.compile(r"\d+")
 
 
 def parse_spec(text):
     """Parse 'n=<int>; R=<comma list>; T=<comma list>' (whitespace-free
     or not); residues are reduced mod 2n.  A malformed spec is reported
-    at the first character at which no valid spec can continue."""
+    at the first character at which no valid spec can continue, or at
+    the first digit of a numeral too long for int()."""
     captured, pos, after_list = [], 0, False
     for step in _SPEC_STEPS:
         match = step.match(text, pos)
@@ -250,9 +252,19 @@ def parse_spec(text):
         if step.groups:
             captured.append(match)
         pos, after_list = match.end(), step.pattern.endswith(_LIST)
-    n_match, r_match, t_match = captured
-    n = int(n_match[1])
+    (n,), R, T = map(_numerals, captured)
     if n < 1:
-        raise SpecParseError("n must be >= 1", n_match.start(1))
-    return validate_spec(n, map(int, re.findall(r"\d+", r_match[1])),
-                         map(int, re.findall(r"\d+", t_match[1])))
+        raise SpecParseError("n must be >= 1", captured[0].start(1))
+    return validate_spec(n, R, T)
+
+
+def _numerals(match):
+    """The numerals in match's group, as ints; one longer than Python
+    converts to an int is malformed, at its first digit."""
+    out = []
+    for numeral in _NUMERAL.finditer(match.string, *match.span(1)):
+        try:
+            out.append(int(numeral[0]))
+        except ValueError:
+            raise SpecParseError("numeral too long", numeral.start()) from None
+    return out

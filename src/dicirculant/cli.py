@@ -1,12 +1,16 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 cross-check failure (a classify-vs-BFS
-disagreement, i.e. a classification-theorem alarm), 2 usage error
-(bad arguments, an invalid or oversized spec, an oversized search-ds
-order, an unwritable --out).
-JSON output carries schema_version 1; sets are sorted integer arrays
-and complex values are [re, im] pairs rounded to 12 digits.  Text
-output is human-oriented and not a stable contract.
+Each cmd_* returns (exit code, JSON payload, text), the text as a
+function, so that a JSON run never formats it.  `main` alone stamps
+schema_version 1 on the payload, picks the payload or the text by
+--format, writes it to stdout or --out, and turns a UsageError into
+exit 2.  Exit codes: 0 success, 1 cross-check failure (a classify-vs-BFS
+disagreement, i.e. a classification-theorem alarm) and nothing else,
+2 usage error (bad arguments, an invalid or oversized spec or numeral,
+an oversized survey n or search-ds order, an unwritable --out).
+In JSON, sets are sorted integer arrays and complex values are [re, im]
+pairs rounded to 12 digits.  Text output is human-oriented and not a
+stable contract.
 """
 
 from __future__ import annotations
@@ -43,27 +47,16 @@ MAX_SPEC_N = 512
 # at 2,048, and the cyclic one at order 2,000 takes 156 MB.
 MAX_DS_ORDER = 1024
 
+# A usage message writes a size out only while it is short: Python
+# converts at most 4,300 digits of an int to a string by default, and
+# the number that fixes the size may have nearly that many.
+
 CSV_COLUMNS = ["n", "R", "T", "connected", "drg", "array", "class",
                "bipartite", "antipodal", "primitive", "fourier_ok"]
 
 
-def dump_json(payload):
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def round_complex(z, digits=12):
-    return [round(z.real, digits), round(z.imag, digits)]
-
-
-def _write(text, out_path):
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write --out {out_path}: {exc.strerror}")
-    else:
-        sys.stdout.write(text)
+def round_complex(z):
+    return [round(z.real, 12), round(z.imag, 12)]
 
 
 def _parse_spec_arg(text):
@@ -74,7 +67,8 @@ def _parse_spec_arg(text):
     except SpecValidationError as exc:
         raise UsageError("invalid spec: " + ", ".join(exc.violations))
     if spec.n > MAX_SPEC_N:
-        raise UsageError(f"n = {spec.n} means a graph on {4 * spec.n:,} "
+        vertices = f"{4 * spec.n:,}" if spec.n < 10 ** 100 else f"4 x {spec.n}"
+        raise UsageError(f"n = {spec.n} means a graph on {vertices} "
                          f"vertices; spec commands stop at n = {MAX_SPEC_N}")
     return spec
 
@@ -85,7 +79,7 @@ class UsageError(Exception):
 
 def cmd_check(args):
     spec = _parse_spec_arg(args.spec)
-    payload = {"schema_version": 1, "spec": spec.to_dict()}
+    payload = {"spec": spec.to_dict()}
     exit_code = EXIT_OK
     if not spec.connected:
         payload["connected"] = False
@@ -101,19 +95,18 @@ def cmd_check(args):
         if row.cross_check_failed:
             payload["cross_check_failure"] = True
             exit_code = EXIT_CROSS_CHECK
-    if args.format == "json":
-        _write(dump_json(payload), args.out)
-    else:
+
+    def text():
         lines = [f"spec: {spec!r}", f"connected: {spec.connected}"]
         if spec.connected:
-            lines.append(f"drg: {payload['drg']}")
+            lines.append(f"drg: {row.drg}")
             if row.array:
                 lines.append(f"array: {row.array!r}")
             lines.append(f"class: {row.classification!r}")
             if exit_code:
                 lines.append("CROSS-CHECK FAILURE: classifier disagrees with BFS")
-        _write("\n".join(lines) + "\n", args.out)
-    return exit_code
+        return "\n".join(lines) + "\n"
+    return exit_code, payload, text
 
 
 def cmd_classify(args):
@@ -121,16 +114,13 @@ def cmd_classify(args):
     if not spec.connected:
         raise UsageError("spec is disconnected; classification undefined")
     classification = classify(spec)
-    payload = {"schema_version": 1, "spec": spec.to_dict(),
+    payload = {"spec": spec.to_dict(),
                "classification": {"tag": classification.tag,
                                   "params": list(classification.params),
                                   "evidence": list(classification.evidence)}}
-    if args.format == "json":
-        _write(dump_json(payload), args.out)
-    else:
-        _write(f"{classification!r}\n  evidence: "
-               + "; ".join(classification.evidence) + "\n", args.out)
-    return EXIT_OK
+    return EXIT_OK, payload, lambda: (f"{classification!r}\n  evidence: "
+                                      + "; ".join(classification.evidence)
+                                      + "\n")
 
 
 def _survey_csv(ns, dedup):
@@ -164,17 +154,14 @@ def _survey_csv(ns, dedup):
 def cmd_survey(args):
     ns = _requested_ns(args)
     dedup = not args.no_dedup
+    # CSV keeps every row; the reports keep only the DRG rows
     if args.format == "csv":
-        text, failures = _survey_csv(ns, dedup)
-        _write(text, args.out)
-        return EXIT_CROSS_CHECK if failures else EXIT_OK
+        csv_text, failures = _survey_csv(ns, dedup)
+        return EXIT_CROSS_CHECK if failures else EXIT_OK, None, lambda: csv_text
     reports = [search.survey(n, dedup=dedup) for n in ns]
     failures = sum(len(r.cross_check_failures) for r in reports)
-    if args.format == "json":
-        payload = {"schema_version": 1,
-                   "surveys": [r.to_dict() for r in reports]}
-        _write(dump_json(payload), args.out)
-    else:
+
+    def text():
         lines = []
         for report in reports:
             lines.append(f"n={report.n}: {report.total_specs} specs, "
@@ -187,36 +174,40 @@ def cmd_survey(args):
             if report.cross_check_failures:
                 lines.append(f"  CROSS-CHECK FAILURES: "
                              f"{report.cross_check_failures}")
-        _write("\n".join(lines) + "\n", args.out)
-    return EXIT_CROSS_CHECK if failures else EXIT_OK
+        return "\n".join(lines) + "\n"
+    return (EXIT_CROSS_CHECK if failures else EXIT_OK,
+            {"surveys": [r.to_dict() for r in reports]}, text)
 
 
 def _requested_ns(args):
-    if args.n_range is not None:
+    """The range of n to survey; the upper end is checked against its
+    bound before anything is built."""
+    if args.n_range is None:
+        if args.n < 1:
+            raise UsageError("--n must be >= 1")
+        a = b = args.n
+    else:
         try:
-            a, b = args.n_range.split("..")
-            a, b = int(a), int(b)
+            a, b = map(int, args.n_range.split(".."))
         except ValueError:
             raise UsageError("--n-range expects A..B")
         if a < 1 or b < a:
             raise UsageError("--n-range expects 1 <= A <= B")
-        ns = list(range(a, b + 1))
-    elif args.n < 1:
-        raise UsageError("--n must be >= 1")
-    else:
-        ns = [args.n]
     bound, what = ((MAX_NO_DEDUP_N, "--no-dedup surveys") if args.no_dedup
                    else (MAX_SURVEY_N, "surveys"))
-    if ns[-1] > bound:
-        raise UsageError(f"n = {ns[-1]} means {4 ** ns[-1]:,} specs; "
+    if b > bound:
+        specs = f"{4 ** b:,}" if b < 100 else f"4^{b}"
+        raise UsageError(f"n = {b} means {specs} specs; "
                          f"{what} stop at n = {bound}")
-    return ns
+    return range(a, b + 1)
 
 
 def cmd_search_ds(args):
     if args.order > MAX_DS_ORDER:
+        entries = (f"{args.order ** 2:,}" if args.order < 10 ** 100
+                   else f"{args.order:,}^2")
         raise UsageError(f"--order {args.order:,} means a group table of "
-                         f"{args.order ** 2:,} entries; search-ds stops at "
+                         f"{entries} entries; search-ds stops at "
                          f"order {MAX_DS_ORDER:,}")
     if args.limit is not None and args.limit < 1:
         raise UsageError("--limit must be >= 1")
@@ -230,18 +221,13 @@ def cmd_search_ds(args):
                                              args.lam, limit=args.limit)
     except search.ParameterContradictionError as exc:
         raise UsageError(str(exc))
-    payload = {"schema_version": 1,
-               "group": {"kind": args.group, "order": args.order},
+    payload = {"group": {"kind": args.group, "order": args.order},
                "v": args.order, "k": args.k, "lam": args.lam,
                "difference_sets": [sorted(D) for D in sets]}
-    if args.format == "json":
-        _write(dump_json(payload), args.out)
-    else:
-        lines = [f"{len(sets)} difference set class(es) for "
-                 f"({args.order},{args.k},{args.lam}) in {args.group} group"]
-        lines += ["  {" + ",".join(map(str, sorted(D))) + "}" for D in sets]
-        _write("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    lines = [f"{len(sets)} difference set class(es) for "
+             f"({args.order},{args.k},{args.lam}) in {args.group} group"]
+    lines += ["  {" + ",".join(map(str, sorted(D))) + "}" for D in sets]
+    return EXIT_OK, payload, lambda: "\n".join(lines) + "\n"
 
 
 def cmd_fourier(args):
@@ -251,7 +237,6 @@ def cmd_fourier(args):
     t = fourier.dft_of_set(spec.T, m)
     orbits = fourier.unit_orbits(m)
     payload = {
-        "schema_version": 1,
         "spec": spec.to_dict(),
         "dft_R": [round_complex(z) for z in r],
         "dft_T": [round_complex(z) for z in t],
@@ -266,18 +251,17 @@ def cmd_fourier(args):
     instance = search.evaluate_spec(spec).instance
     if instance is not None:
         payload["fourier_lemma_ok"] = instance.fourier_ok
-    if args.format == "json":
-        _write(dump_json(payload), args.out)
-    else:
+
+    def text():
         lines = [f"spec: {spec!r}",
                  "dft R: " + " ".join(f"{z[0]:+.4f}{z[1]:+.4f}i"
                                       for z in payload["dft_R"]),
                  "dft T: " + " ".join(f"{z[0]:+.4f}{z[1]:+.4f}i"
                                       for z in payload["dft_T"])]
-        if "fourier_lemma_ok" in payload:
-            lines.append(f"fourier lemma: {payload['fourier_lemma_ok']}")
-        _write("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+        if instance is not None:
+            lines.append(f"fourier lemma: {instance.fourier_ok}")
+        return "\n".join(lines) + "\n"
+    return EXIT_OK, payload, text
 
 
 def build_parser():
@@ -341,10 +325,24 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        exit_code, payload, text = args.func(args)
+        if args.format == "json":
+            text = json.dumps({"schema_version": 1, **payload}, sort_keys=True,
+                              separators=(",", ":")) + "\n"
+        else:
+            text = text()
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write --out {args.out}: {exc.strerror}")
+        else:
+            sys.stdout.write(text)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    return exit_code
 
 
 if __name__ == "__main__":

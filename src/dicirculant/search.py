@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, islice, product
+from itertools import chain, product
 from math import gcd
 
 from . import classifier, fourier, structure
@@ -269,11 +269,7 @@ def survey_rows(n, dedup=True):
     kept per shared R set and per shared T set."""
     m = 2 * n
     r_rotations, t_rotations = {}, {}
-    # Specs are enumerated 4,096 at a time: resuming the enumeration
-    # between two evaluations made the n = 1..5 survey about 2% slower.
-    specs = enumerate_specs(n, dedup)
-    batches = iter(lambda: list(islice(specs, 4096)), [])
-    for spec in chain.from_iterable(batches):
+    for spec in enumerate_specs(n, dedup):
         graph = None
         if spec.connected:
             R, T = spec.R, spec.T
@@ -296,8 +292,11 @@ def check_ds_parameters(v, k, lam):
     if lam < 0:
         raise ParameterContradictionError(f"need lam >= 0, got lam = {lam}")
     if k * (k - 1) != lam * (v - 1):
+        # a lam from the command line can have nearly as many digits as
+        # Python converts to a string
+        rhs = f"{lam * (v - 1)}" if lam < 10 ** 100 else f"{lam}*{v - 1}"
         raise ParameterContradictionError(
-            f"k(k-1) = {k * (k - 1)} != lam(v-1) = {lam * (v - 1)}")
+            f"k(k-1) = {k * (k - 1)} != lam(v-1) = {rhs}")
 
 
 def search_difference_sets(table, v, k, lam, limit=None):

@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicirculant import classifier, cli, group, search
 from dicirculant.classifier import Classification
@@ -74,6 +78,35 @@ class TestCheck:
         assert f"{4 * 513:,} vertices" in err
         assert cli._parse_spec_arg("n=512; R=1,1023; T=0,512").n \
             == cli.MAX_SPEC_N
+
+    # CPython converts at most 4,300 digits between int and str by default
+    @pytest.mark.parametrize("command", ["check", "classify", "fourier"])
+    @pytest.mark.parametrize("spec, position", [
+        ("n=" + "9" * 5000 + "; R=1; T=0", 2),
+        ("n=2; R=1, " + "9" * 5000 + "; T=0", 10),
+        ("n=2; R=2; T=0,2," + "7" * 5000, 16)], ids=["n", "R", "T"])
+    def test_oversized_numeral_is_malformed(self, capsys, monkeypatch, command,
+                                            spec, position):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated an oversized numeral")
+        monkeypatch.setattr(search, "evaluate_spec", refuse)
+        monkeypatch.setattr(cli, "classify", refuse)
+        code, out, err = run(capsys, command, spec)
+        assert code == EXIT_USAGE and out == ""
+        assert f"malformed spec: numeral too long (at position {position})" in err
+
+    @pytest.mark.parametrize("command", ["check", "classify", "fourier"])
+    def test_oversized_message_for_the_longest_n(self, capsys, monkeypatch,
+                                                 command):
+        # n has 4,300 digits and 4n one more; T = {0, n} makes a valid spec
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated despite the size bound")
+        monkeypatch.setattr(search, "evaluate_spec", refuse)
+        monkeypatch.setattr(cli, "classify", refuse)
+        n = "9" * 4300
+        code, out, err = run(capsys, command, f"n={n}; R=; T=0,{n}")
+        assert code == EXIT_USAGE and out == ""
+        assert f"spec commands stop at n = {cli.MAX_SPEC_N}" in err
 
 
 class TestClassify:
@@ -145,6 +178,26 @@ class TestSurvey:
         code, out, err = run(capsys, "survey", *argv)
         assert code == EXIT_USAGE and out == ""
         assert f"{4 ** 14:,} specs" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "10000"], ["--n-range", "1..10000"], ["--n-range", "1..1000000"],
+        ["--no-dedup", "--n-range", "2..1000000"]])
+    def test_far_oversized_n_is_usage_error(self, capsys, monkeypatch, argv):
+        # 4^n has more digits than Python converts to a string, and the
+        # bound is checked before any list of n is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated despite the size bound")
+        monkeypatch.setattr(search, "survey", refuse)
+        monkeypatch.setattr(search, "enumerate_specs", refuse)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "survey", *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE and out == ""
+        assert f"n = {argv[-1].split('..')[-1]} means 4^" in err
+        assert peak < 1_000_000
 
     def test_n13_is_accepted(self, capsys, monkeypatch):
         surveyed = []
@@ -287,6 +340,23 @@ class TestSearchDS:
                          str(cli.MAX_DS_ORDER), "--k", "1", "--lam", "0")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("order, lam, message", [
+        ("9" * 4300, "1", "stops at order 1,024"),
+        ("7", "9" * 4300, "k(k-1) = 6 != lam(v-1) = 9999")],
+        ids=["order", "lam"])
+    def test_far_oversized_number_is_usage_error(self, capsys, monkeypatch,
+                                                 order, lam, message):
+        # 4,300 digits, as many as CPython converts between int and str
+        # by default; the size or product named in the message has more
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a group table despite the bounds")
+        monkeypatch.setattr(classifier, "cyclic_table", refuse)
+        monkeypatch.setattr(search, "search_difference_sets", refuse)
+        code, out, err = run(capsys, "search-ds", "--group", "cyclic",
+                             "--order", order, "--k", "3", "--lam", lam)
+        assert code == EXIT_USAGE and out == ""
+        assert message in err
+
     @pytest.mark.parametrize("kind", ["cyclic", "dicyclic"])
     @pytest.mark.parametrize("k, lam, message", [("3", "1", "k(k-1)"),
                                                  ("0", "0", "1 <= k <= v")])
@@ -424,3 +494,75 @@ def test_runs_without_networkx(capsys):
     normal = [list(run(capsys, *argv)[:2]) for argv in NETWORKX_FREE_CALLS]
     assert blocked == normal
     assert [code for code, _ in normal] == [EXIT_OK] * 4
+
+
+def quiet_main(argv):
+    """main(argv) with its stdout and stderr captured: (code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+VALID_SPECS = [repr(spec) for n in range(1, 5)
+               for spec in search.enumerate_specs(n, dedup=False)]
+# Up to 6,000 digits: beyond the 4,300 that CPython converts by default
+DIGIT_RUNS = st.builds(lambda head, k: head + "9" * k,
+                       st.text("0123456789", min_size=1, max_size=10),
+                       st.integers(0, 6000))
+SPEC_TEXTS = st.one_of(
+    st.text(max_size=40),
+    st.sampled_from(VALID_SPECS),
+    st.builds(str.format, st.sampled_from(["n={}; R=1; T=0", "n=2; R={}; T=0,2",
+                                           "n=2; R=2; T=0,2,{}", "n={}; R=; T=",
+                                           "{}"]), DIGIT_RUNS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["check", "classify", "fourier"]),
+       fmt=st.sampled_from(["json", "text"]), spec=SPEC_TEXTS)
+def test_spec_commands_exit_zero_or_two(command, fmt, spec):
+    code, out = quiet_main([command, "--format", fmt, spec])
+    assert code in (EXIT_OK, EXIT_USAGE)
+    assert code == EXIT_OK or out == ""
+
+
+OUT_OF_RANGE_N = st.one_of(st.integers(max_value=0).map(str),
+                           st.integers(min_value=cli.MAX_SURVEY_N + 1).map(str),
+                           DIGIT_RUNS.map(lambda d: "14" + d))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(option=st.sampled_from(["--n", "--n-range"]), n=OUT_OF_RANGE_N,
+       low=st.integers(-3, 20), no_dedup=st.booleans(),
+       fmt=st.sampled_from(["json", "csv", "text"]))
+def test_out_of_range_survey_exits_two(option, n, low, no_dedup, fmt):
+    def refuse(*args, **kwargs):
+        raise AssertionError("surveyed an out-of-range n")
+    argv = ["survey", option, n if option == "--n" else f"{low}..{n}",
+            "--format", fmt] + ["--no-dedup"] * no_dedup
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("survey", "survey_rows", "enumerate_specs"):
+            patch.setattr(search, name, refuse)
+        assert quiet_main(argv) == (EXIT_USAGE, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--format", "json", "n=4; R=1,7; T=1,5"],
+    ["check", "--format", "text", SPEC],
+    ["classify", "--format", "json", SPEC],
+    ["classify", "--format", "text", "n=4; R=1,7; T=1,5"],
+    ["fourier", "--format", "json", SPEC],
+    ["fourier", "--format", "text", SPEC],
+    ["survey", "--format", "json", "--n-range", "1..3"],
+    ["survey", "--format", "csv", "--n-range", "1..3"],
+    ["survey", "--format", "text", "--n-range", "1..3"],
+    DS_ARGS + ["--format", "json"],
+    DS_ARGS + ["--format", "text"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_out_file_gets_the_stdout_bytes(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, *argv)
+    target = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(target)) == (code, "", "")
+    assert target.read_bytes() == out.encode()
