@@ -67,11 +67,13 @@ def subgroup_of_order(n, m):
 
 
 def automorphism_params(n):
-    """All (u, v) with u a unit of Z_2n, in a fixed order: the
-    automorphism a -> a^u, b -> a^v b.  Any unit u works: the relations
-    b^2 = a^n and b a b^-1 = a^-1 are preserved for every v."""
+    """The automorphisms a -> a^u, b -> a^v b with u a unit of Z_2n and
+    0 <= v < n, in a fixed order.  Any unit u works: the relations
+    b^2 = a^n and b a b^-1 = a^-1 are preserved for every v.  v stops
+    below n because u is odd and T = n + T, so (u, v + n) moves every
+    valid connection set as (u, v) does."""
     m = 2 * n
-    return [(u, v) for u in range(m) if gcd(u, m) == 1 for v in range(m)]
+    return [(u, v) for u in range(m) if gcd(u, m) == 1 for v in range(n)]
 
 
 def transform_sets(params, n, R, T):

@@ -1,4 +1,8 @@
-"""BFS distances, intersection numbers, and the distance-regularity test."""
+"""BFS distances, intersection numbers, and the distance-regularity test.
+
+One level-synchronous bitset BFS gives the distance shells.  The DRG
+test runs it to the end from a base vertex, then counts (c, a, b) level
+by level and stops at the first unequal triple."""
 
 from __future__ import annotations
 
@@ -14,48 +18,41 @@ class DisconnectedGraphError(ValueError):
     pass
 
 
-def bfs_distances(g, v):
-    """Shortest-path distances from v; UNREACHABLE where there is no path.
-    Bitset frontier expansion: one row-OR per vertex per level."""
-    dist = [UNREACHABLE] * g.n_vertices
-    dist[v] = 0
-    visited = frontier = 1 << v
-    level = 0
-    while frontier:
-        nxt = 0
-        for u in bit_members(frontier):
-            nxt |= g.rows[u]
-        nxt &= ~visited
-        visited |= nxt
-        level += 1
-        for u in bit_members(nxt):
-            dist[u] = level
-        frontier = nxt
-    return dist
-
-
-def _levels(g, v):
-    """BFS levels N_0(v), N_1(v), ... as bitsets, each the frontier itself.
-    After the last level, raises if some vertex was never reached, naming
-    the least such vertex."""
+def _component_shells(g, v):
+    """Shells N_0(v), N_1(v), ... of v's component as bitsets.
+    Level-synchronous bitset BFS: one row-OR per vertex per level."""
     rows = g.rows
+    shells = []
     shell = reached = 1 << v
     while shell:
-        yield shell
+        shells.append(shell)
         nxt = 0
         for u in bit_members(shell):
             nxt |= rows[u]
         shell = nxt & ~reached
         reached |= shell
-    unreached = ~reached & ((1 << len(rows)) - 1)
-    if unreached:
-        least = (unreached & -unreached).bit_length() - 1
-        raise DisconnectedGraphError(f"vertex {least} unreachable")
+    return shells
+
+
+def bfs_distances(g, v):
+    """Shortest-path distances from v; UNREACHABLE where there is no path."""
+    dist = [UNREACHABLE] * g.n_vertices
+    for level, shell in enumerate(_component_shells(g, v)):
+        for u in bit_members(shell):
+            dist[u] = level
+    return dist
 
 
 def distance_shells(g, v):
-    """Shells N_0(v)..N_d(v) as bitsets; raises on a disconnected graph."""
-    return list(_levels(g, v))
+    """Shells N_0(v)..N_d(v) as bitsets; raises on a disconnected graph,
+    naming the least unreached vertex."""
+    shells = _component_shells(g, v)
+    # the shells are disjoint, so their sum is their union
+    unreached = (1 << g.n_vertices) - 1 - sum(shells)
+    if unreached:
+        least = (unreached & -unreached).bit_length() - 1
+        raise DisconnectedGraphError(f"vertex {least} unreachable")
+    return shells
 
 
 @dataclass(frozen=True)
@@ -129,38 +126,34 @@ def _shell_triples(g, base, reference=None):
     a NotDRGWitness against `reference` (or against the base's own first
     triple at each distance).
 
-    Level i is checked as soon as the BFS reaches it: an undirected
-    graph joins a level-i vertex only to levels i-1..i+1, so b is its
-    degree less c and a.  After the first unequal triple the BFS only
-    expands, so that a disconnected graph still raises and an unequal
-    eccentricity is still the witness."""
-    rows = g.rows
-    triples = [] if reference is None else reference
-    witness = None
-    below = 0
-    for i, shell in enumerate(_levels(g, base)):
-        if witness is None:
-            # against a reference, i stays within it until a triple
-            # differs: its last b is 0, and a base that matches that has
-            # no further level
-            expected = triples[i] if i < len(triples) else None
-            for v in bit_members(shell):
-                row = rows[v]
-                c = (row & below).bit_count()
-                a = (row & shell).bit_count()
-                triple = (c, a, row.bit_count() - c - a)
-                if expected is None:
-                    expected = triple
-                    triples.append(triple)
-                elif triple != expected:
-                    witness = NotDRGWitness(base, v, i, expected, triple)
-                    break
-        below = shell
-    if reference is not None and i != len(reference) - 1:
+    The full traversal comes first, so a disconnected graph raises and,
+    against a reference, an unequal eccentricity is the witness.  Then
+    the levels are counted in order up to the first unequal triple: an
+    undirected graph joins a level-i vertex only to levels i-1..i+1, so
+    b is its degree less c and a."""
+    shells = distance_shells(g, base)
+    d = len(shells) - 1
+    if reference is not None and len(reference) != len(shells):
         # eccentricity differs between base vertices
-        return NotDRGWitness(base, base, i, ("diameter", len(reference) - 1),
-                             ("diameter", i))
-    return triples if witness is None else witness
+        return NotDRGWitness(base, base, d, ("diameter", len(reference) - 1),
+                             ("diameter", d))
+    rows = g.rows
+    triples = []
+    below = 0
+    for i, shell in enumerate(shells):
+        expected = None if reference is None else reference[i]
+        for v in bit_members(shell):
+            row = rows[v]
+            c = (row & below).bit_count()
+            a = (row & shell).bit_count()
+            triple = (c, a, row.bit_count() - c - a)
+            if expected is None:
+                expected = triple
+            elif triple != expected:
+                return NotDRGWitness(base, v, i, expected, triple)
+        triples.append(expected)
+        below = shell
+    return triples
 
 
 def is_distance_regular(g, vertex_transitive_hint=False):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from itertools import chain, product
 from math import gcd
 
-from . import classifier, fourier, structure
+from . import classifier, fourier, group, structure
 from .cayley import (ConnectionSpec, build_graph, generates_group, is_subgroup,
                      rotation_graph, rotations)
 from .classifier import classify
@@ -92,14 +92,13 @@ def _class_masks(n, r_order, t_order):
     """
     m = 2 * n
     # (u, v) moves R pair i to the pair holding u*i and T pair i to
-    # pair (u*i + v) mod n, so v and v + n move the pairs alike; the
-    # distinct maps as (R, T) bit permutations.
-    maps = set()
-    for u in range(1, m):
-        if gcd(u, m) == 1:
-            r_perm = tuple(min(u * i % m, -u * i % m) - 1 for i in range(1, n + 1))
-            maps |= {(r_perm, tuple((u * i + v) % n for i in range(n)))
-                     for v in range(n)}
+    # pair (u*i + v) mod n; the distinct maps as (R, T) bit permutations,
+    # with the R permutation made once per u.
+    params = group.automorphism_params(n)
+    r_perms = {u: tuple(min(u * i % m, -u * i % m) - 1 for i in range(1, n + 1))
+               for u in {u for u, _ in params}}
+    maps = {(r_perms[u], tuple((u * i + v) % n for i in range(n)))
+            for u, v in params}
     # per permutation, the image of every mask, in 2 bytes each up to
     # n = 16 and in 8 bytes after (no 2^n table with n > 64 fits in memory)
     typecode = "H" if n <= 16 else "Q"

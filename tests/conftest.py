@@ -2,9 +2,8 @@ import pytest
 
 from dicirculant import search
 from dicirculant.cayley import bit_members
-from dicirculant.metrics import (UNREACHABLE, DisconnectedGraphError,
-                                 IntersectionArray, NotDRGWitness,
-                                 bfs_distances)
+from dicirculant.metrics import (DisconnectedGraphError, IntersectionArray,
+                                 NotDRGWitness)
 
 
 def all_valid_specs(n, dedup=False):
@@ -27,11 +26,11 @@ def naive_bfs_distances(g, start):
 
 
 def two_pass_distance_shells(g, v):
-    """A full distance list, then the shells from it; oracle for the
-    one-loop metrics.distance_shells."""
-    dist = bfs_distances(g, v)
-    if UNREACHABLE in dist:
-        raise DisconnectedGraphError(f"vertex {dist.index(UNREACHABLE)} unreachable")
+    """A full distance list from the queue BFS, then the shells from it;
+    oracle for the bitset metrics.distance_shells."""
+    dist = naive_bfs_distances(g, v)
+    if -1 in dist:
+        raise DisconnectedGraphError(f"vertex {dist.index(-1)} unreachable")
     shells = [0] * (max(dist) + 1)
     for u, distance in enumerate(dist):
         shells[distance] |= 1 << u
@@ -40,7 +39,8 @@ def two_pass_distance_shells(g, v):
 
 def full_bfs_shell_triples(g, base, reference=None):
     """All shells first, then (c, a, b) per level with b counted in the
-    next shell; oracle for the level-by-level metrics._shell_triples."""
+    next shell; oracle for metrics._shell_triples, which counts b as the
+    degree less c and a."""
     shells = two_pass_distance_shells(g, base)
     d = len(shells) - 1
     triples = list(reference) if reference is not None else [None] * (d + 1)

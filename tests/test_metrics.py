@@ -162,8 +162,7 @@ def small_graphs(draw):
 
 
 class TestLevelByLevel:
-    """The one-loop BFS and the level-by-level DRG test against their
-    two-pass predecessors."""
+    """The bitset BFS and the DRG test against the two-pass oracles."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_spec_matches_full_bfs(self, n):
@@ -193,8 +192,17 @@ class TestLevelByLevel:
         # path 0-1-2-3: base 1 has degree 2 against base 0's 1, but its
         # eccentricity 2 against 3 is the witness
         path = Graph([0b0010, 0b0101, 0b1010, 0b0100])
-        assert is_distance_regular(path) == NotDRGWitness(
-            1, 1, 2, ("diameter", 3), ("diameter", 2))
+        assert is_distance_regular(path, vertex_transitive_hint=False) \
+            == NotDRGWitness(1, 1, 2, ("diameter", 3), ("diameter", 2))
+
+    def test_unequal_eccentricity_outranks_a_deeper_unequal_triple(self):
+        # path 3-2-0-1-4: base 0 passes; base 1 has base 0's degree, but
+        # its level 1 holds (c, a, b) = (1, 0, 1) and (1, 0, 0) before its
+        # eccentricity 3 against 2 shows
+        path = Graph([0b00110, 0b10001, 0b01001, 0b00100, 0b00010])
+        assert isinstance(_shell_triples(path, 0), list)
+        assert is_distance_regular(path, vertex_transitive_hint=False) \
+            == NotDRGWitness(1, 1, 3, ("diameter", 2), ("diameter", 3))
 
     @pytest.mark.parametrize("hint", [True, False])
     def test_disconnection_outranks_an_unequal_triple(self, hint):
