@@ -145,12 +145,16 @@ def generates_group(n, R, T):
 
     a^t b * (a^t0 b)^-1 = a^(t - t0), so the generated subgroup is
     <a^d, a^t0 b> with d = gcd(2n, R, T - t0), of order 4n/d; without T
-    it lies in <a>.  Hence the set generates iff T is non-empty and d = 1.
+    it lies in <a>.  Hence the set generates iff T is non-empty and d = 1,
+    with d regrouped as gcd(gcd(2n, R), difference_gcd(T)).
     """
-    if not T:
-        return False
-    t0 = min(T)
-    return gcd(2 * n, *R, *(t - t0 for t in T)) == 1
+    return bool(T) and gcd(gcd(2 * n, *R), difference_gcd(T)) == 1
+
+
+def difference_gcd(T):
+    """gcd(T - min T); 0 for an empty T."""
+    t0 = min(T, default=0)
+    return gcd(*(t - t0 for t in T))
 
 
 def is_subgroup(n, R, T):
@@ -194,17 +198,6 @@ def rotation_graph(m, r, t, neg_t):
     """
     return Graph([ri | ti << m for ri, ti in zip(r, t)]
                  + [si | ri << m for si, ri in zip(neg_t, r)])
-
-
-def definitional_graph(spec):
-    """Adjacency straight from the Cayley definition g^-1 h in S.
-    Used as an oracle against build_graph."""
-    n = spec.n
-    S = spec.R | {t + 2 * n for t in spec.T}
-    inverses = (group.inverse(g, n) for g in range(4 * n))
-    return Graph(bitset(h for h in range(4 * n)
-                        if group.multiply(ginv, h, n) in S)
-                 for ginv in inverses)
 
 
 def canonicalize(spec):

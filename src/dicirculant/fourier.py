@@ -80,13 +80,6 @@ def is_transversal(A, r, m):
     return coset_profile(A, r, m) == (1,) * r
 
 
-def profile_reconstruction(counts, m):
-    """sum_i e_i xi^i with xi = w^(m/r); equals (F Delta_A)(m/r)."""
-    r = len(counts)
-    xi = cmath.exp(2j * cmath.pi / m * (m // r)) if m > 1 else 1.0
-    return sum(e * xi ** i for i, e in enumerate(counts))
-
-
 def check_fourier_lemma(spec, dp, array):
     """Decide the two spectral identities of a distance-regular
     dicirculant exactly, as functions on Z_2n:

@@ -12,10 +12,6 @@ from __future__ import annotations
 from math import gcd
 
 
-class InvalidOrderError(ValueError):
-    """Requested subgroup order does not divide 4n."""
-
-
 class InvalidAutomorphismError(ValueError):
     """The scaling parameter u is not a unit modulo 2n."""
 
@@ -52,18 +48,6 @@ def generated_subgroup(gens, n):
                 members.add(prod)
                 frontier.append(prod)
     return frozenset(members)
-
-
-def subgroup_of_order(n, m):
-    """One canonical subgroup of order m: cyclic <a^(2n/m)> when m | 2n,
-    otherwise <a^(n/d), b> with d = m/4."""
-    if m < 1 or (4 * n) % m != 0:
-        raise InvalidOrderError(f"order {m} does not divide {4 * n}")
-    if (2 * n) % m == 0:
-        # a^(2n/m), reduced so that m = 1 gives the identity and not b
-        return generated_subgroup([(2 * n) // m % (2 * n)], n)
-    # m | 4n but m does not divide 2n forces 4 | m and (m/4) | n
-    return generated_subgroup([n // (m // 4), 2 * n], n)
 
 
 def automorphism_params(n):

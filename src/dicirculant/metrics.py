@@ -72,11 +72,12 @@ class DistancePartition:
 def distance_partition(spec, g):
     shells = distance_shells(g, 0)
     m = 2 * spec.n
-    r_sets, t_sets = [], []
-    for shell in shells:
-        r_sets.append(frozenset(v for v in bit_members(shell) if v < m))
-        t_sets.append(frozenset(v - m for v in bit_members(shell) if v >= m))
-    return DistancePartition(tuple(shells), tuple(r_sets), tuple(t_sets))
+    # vertex a^i is bit i and a^i b is bit m + i
+    low = (1 << m) - 1
+    return DistancePartition(
+        tuple(shells),
+        tuple(frozenset(bit_members(shell & low)) for shell in shells),
+        tuple(frozenset(bit_members(shell >> m)) for shell in shells))
 
 
 @dataclass(frozen=True)

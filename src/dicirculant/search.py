@@ -9,8 +9,8 @@ from itertools import chain, product
 from math import gcd
 
 from . import classifier, fourier, group, structure
-from .cayley import (ConnectionSpec, build_graph, generates_group, is_subgroup,
-                     rotation_graph, rotations)
+from .cayley import (ConnectionSpec, build_graph, difference_gcd, generates_group,
+                     is_subgroup, rotation_graph, rotations)
 from .classifier import classify
 from .metrics import (IntersectionArray, NotDRGWitness, distance_partition,
                       is_distance_regular)
@@ -33,14 +33,14 @@ def enumerate_specs(n, dedup=True):
     pair is closed under r -> -r or t -> n + t, so every union is a
     valid R or T as built and validate_spec would only copy it.  Each
     spec therefore shares its R and T with every other spec of the same
-    mask.  Connectivity is read off two per-mask tables: the spec
-    generates Dic_n iff T is non-empty and gcd(gcd(2n, R),
-    gcd(T - min T)) = 1, which is generates_group's gcd regrouped.
+    mask.  Connectivity is read off two per-mask tables, one for each
+    factor of generates_group: the spec generates Dic_n iff T is
+    non-empty and gcd(gcd(2n, R), difference_gcd(T)) = 1.
     """
     m = 2 * n
     r_sets, t_sets = _pair_unions(n)
     r_gcds = [gcd(m, *R) for R in r_sets]
-    t_gcds = list(map(_difference_gcd, t_sets))
+    t_gcds = list(map(difference_gcd, t_sets))
     r_order, t_order = _key_order(r_sets), _key_order(t_sets)
     masks = (_class_masks(n, r_order, t_order) if dedup
              else product(r_order, t_order))
@@ -48,12 +48,6 @@ def enumerate_specs(n, dedup=True):
         yield ConnectionSpec(n, r_sets[r_mask], t_sets[t_mask],
                              t_mask != 0
                              and gcd(r_gcds[r_mask], t_gcds[t_mask]) == 1)
-
-
-def _difference_gcd(T):
-    """gcd(T - min T); 0 for an empty T."""
-    t0 = min(T, default=0)
-    return gcd(*(t - t0 for t in T))
 
 
 def _pair_unions(n):

@@ -1,6 +1,11 @@
-"""Imprimitivity machinery: bipartitions, antipodal fibres and quotients,
-halved graphs, distance-i graphs, and the named family of a
-distance-regular graph read off its intersection array."""
+"""The named family of a distance-regular graph read off its intersection
+array, and graph-level imprimitivity: bipartitions, antipodal fibres and
+quotients, and distance-i graphs.
+
+The survey takes only recognize_family from here; it decides antipodality
+and primitivity from the distance partition (search.shell_flags).
+bipartition, antipodal_classes and is_primitive are the tests' references
+for those flags, and the benchmark's tracer looks them up by name."""
 
 from __future__ import annotations
 
@@ -8,10 +13,6 @@ from dataclasses import dataclass
 
 from .cayley import Graph, bit_members, bitset, graph_from_edges
 from .metrics import bfs_distances
-
-
-class NotBipartiteError(ValueError):
-    pass
 
 
 class IndexOutOfRangeError(ValueError):
@@ -91,23 +92,6 @@ def antipodal_classes(g, d):
                        max(block_of[u], block_of[v])))
     quotient = graph_from_edges(len(fibres), edges)
     return AntipodalStructure(tuple(fibres), sizes.pop(), quotient)
-
-
-def halved_graphs(g):
-    """The distance-2 graph restricted to each part of the bipartition.
-    Vertices of each half are its part members in increasing order."""
-    parts = bipartition(g)
-    if parts is None:
-        raise NotBipartiteError("graph has an odd cycle")
-    dist = all_pairs_distances(g)
-    halves = []
-    for part in parts:
-        members = sorted(bit_members(part))
-        pos = {v: i for i, v in enumerate(members)}
-        edges = [(pos[u], pos[v]) for u in members for v in members
-                 if u < v and dist[u][v] == 2]
-        halves.append(graph_from_edges(len(members), edges))
-    return tuple(halves)
 
 
 def is_primitive(g, d):

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from conftest import all_valid_specs
 from dicirculant import cayley, group
 from dicirculant.cayley import (SpecParseError, SpecValidationError,
-                                build_graph, canonicalize, definitional_graph,
-                                is_subgroup, parse_spec, validate_spec)
+                                build_graph, canonicalize, is_subgroup,
+                                parse_spec, validate_spec)
+from oracles import definitional_graph, subgroup_of_order
 
 
 class TestValidation:
@@ -104,7 +105,7 @@ class TestIsSubgroup:
         for m in range(1, 4 * n + 1):
             if (4 * n) % m:
                 continue
-            members = group.subgroup_of_order(n, m)
+            members = subgroup_of_order(n, m)
             assert is_subgroup(n, {g for g in members if g < 2 * n},
                                {g - 2 * n for g in members if g >= 2 * n}), m
 

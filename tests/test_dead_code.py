@@ -1,27 +1,39 @@
 """Dead-code guards: every module-level function and class in the package
 is named somewhere in the package besides its own definition, is public
-API, or is an oracle that the tests or the acceptance criteria use; and
-no module of the package or of the tests imports a name it never uses."""
+API, or is a benchmark pin; no module of the package or of the tests
+imports a name it never uses; and every name the benchmark's tracer
+looks up is still in the package."""
 
 import ast
 import collections
+import importlib
 import pathlib
 
 import dicirculant
 
 SRC = pathlib.Path(dicirculant.__file__).parent
 TESTS = pathlib.Path(__file__).parent
+TRACER = TESTS.parent / "bench" / "tracer.py"
 
-# Kept although nothing in the package calls them.  A new helper that only
-# tests reach belongs here, with its reason, or nowhere.
+# Kept although nothing in the package calls them: bench/tracer.py looks
+# each one up by name.  A helper that only tests reach belongs in
+# tests/oracles.py instead.
 ORACLES = {
-    "definitional_graph": "Cayley definition g^-1 h in S, the reference for build_graph",
-    "subgroup_of_order": "a subgroup of each order 4n allows, the reference for is_subgroup",
+    "bipartition": "graph-level bipartiteness, the reference for the bipartite flag",
     "antipodal_classes": "graph-level antipodality, the reference for shell_flags",
     "is_primitive": "graph-level primitivity, the reference for shell_flags",
-    "halved_graphs": "halves of the n = 8 bipartite witness, checked complete in acceptance",
-    "profile_reconstruction": "sum e_i xi^i, checked against the DFT value in acceptance",
+    "generated_subgroup": "closure under multiplication, the reference for generates_group and is_subgroup",
 }
+
+
+def _tracer_layers():
+    """The (module, function) pairs of LAYERS in bench/tracer.py, read
+    without importing the benchmark."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "LAYERS" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py defines no LAYERS")
 
 
 def _names(node):
@@ -59,3 +71,11 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {f"{path.parent.name}/{path.name}": names for path in paths
               if (names := _unused_imports(ast.parse(path.read_text())))}
     assert unused == {}
+
+
+def test_every_traced_name_is_in_the_package():
+    layers = _tracer_layers()
+    for module, name in layers:
+        func = getattr(importlib.import_module(f"dicirculant.{module}"), name, None)
+        assert callable(func), f"dicirculant.{module}.{name}"
+    assert set(ORACLES) <= {name for _, name in layers}

@@ -1,13 +1,14 @@
 import pytest
 
 from conftest import all_valid_specs
-from dicirculant import cayley, group, structure
+from dicirculant import cayley, structure
 from dicirculant.cayley import bitset, build_graph, graph_from_edges, validate_spec
 from dicirculant.metrics import distance_partition, is_distance_regular
 from dicirculant.search import shell_flags
-from dicirculant.structure import (NotBipartiteError, antipodal_classes,
-                                   bipartition, distance_i_graph, halved_graphs,
-                                   is_primitive, recognize_family)
+from dicirculant.structure import (antipodal_classes, bipartition,
+                                   distance_i_graph, is_primitive,
+                                   recognize_family)
+from oracles import NotBipartiteError, halved_graphs, subgroup_of_order
 
 K8 = build_graph(validate_spec(2, {1, 2, 3}, {0, 1, 2, 3}))
 K4x2 = build_graph(validate_spec(2, {1, 3}, {0, 1, 2, 3}))
@@ -114,7 +115,7 @@ def _subgroup_complements(n):
     for m in range(1, 4 * n):
         if (4 * n) % m:
             continue
-        sub = group.subgroup_of_order(n, m)
+        sub = subgroup_of_order(n, m)
         R = {g for g in sub if 0 < g < 2 * n}
         T = {g - 2 * n for g in sub if g >= 2 * n}
         yield m, validate_spec(n, set(range(1, 2 * n)) - R, set(range(2 * n)) - T)
