@@ -6,7 +6,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, product
-from math import gcd
+from math import gcd, inf
 
 from . import classifier, fourier, group, structure
 from .cayley import (ConnectionSpec, build_graph, difference_gcd, generates_group,
@@ -296,57 +296,124 @@ def search_difference_sets(table, v, k, lam, limit=None):
     """All (v, k, lam) difference sets in the group given by `table`,
     up to right translation: only sets whose sorted index tuple is
     minimal among all right-translates Dg are returned, in increasing
-    order of that tuple.  Backtracking over k-subsets with partial
-    difference-count pruning.
+    order of that tuple.  Backtracking over k-subsets, each built in
+    increasing order, with partial difference-count pruning.
 
     The search starts from {0, 1} ({0} when k = 1), because every
     returned set holds both.  For d in D the translate Dd^-1 holds 0,
     and a tuple without 0 sorts after it.  For k >= 2, lam >= 1, so
     1 = xy^-1 for some x, y in D, and Dy^-1 holds {0, 1}.  For the same
-    reason the canonical test compares D only with the k - 1 translates
-    Dd^-1, d in D minus 0: they are the translates that hold 0, and any
-    other sorts after D.  The argument needs only a Latin square with
-    identity 0, which validate_group_table enforces."""
+    reason D is compared only with the k - 1 translates Dd^-1, d in D
+    minus 0: they are the translates that hold 0, and any other sorts
+    after D.  The argument needs only a Latin square with identity 0,
+    which validate_group_table enforces.
+
+    Three cuts shrink the search.  Each one drops only branches that
+    hold no result and keeps the depth-first order, so the results,
+    under `limit` too, are those of the search without them.
+
+    Complement.  (G - C)g = G - Cg, so the translate classes of the
+    (v, k, lam) sets and of their complements, the (v, v - k,
+    v - 2k + lam) sets, correspond one to one.  A full search with
+    k < v < 2k searches the complement parameters instead and returns
+    the least translate of each found set's complement, sorted.  A
+    limited search stays direct, since the complement side would have
+    to run in full to tell which sets come first.
+
+    Forward checking.  A quotient s = xy^-1, x and y chosen, is
+    saturated once lam pairs give it; counts only grow deeper in the
+    tree, and yx^-1 = s^-1 has the same count, so the saturated
+    quotients stay saturated and are closed under inverses.  A
+    candidate y = sd, s saturated and d chosen, would take the count of
+    yd^-1 = s past lam; as dy^-1 = s^-1, blocking every such sd also
+    blocks every y with dy^-1 saturated.  Blocked candidates are
+    skipped, and a branch stops when fewer unblocked candidates remain
+    above the last choice than it still needs.
+
+    Partial canonicity.  Let P be the chosen prefix and top = max P;
+    every completion D adds only elements above top.  For y in P minus
+    0 let K = Py^-1 and q = min(K - P).  Suppose every element of P
+    below q is in K.  Then q < top: K has as many elements as P, so
+    some element of P is not in K, and it lies above q.  So below q the
+    set D holds only elements of P, each of them in K, which lies in
+    Dy^-1; and q is in Dy^-1 but not in D.  So Dy^-1 sorts before every
+    completion D, and the branch is cut.  At full length K = Dy^-1, and
+    the condition is exactly Dy^-1 < D, so a set that reaches k
+    elements is canonical.  Its counts are then all lam, as none
+    exceeds lam and they sum to k(k-1) = lam(v-1)."""
     check_ds_parameters(v, k, lam)
     classifier.validate_group_table(table)
     if len(table) != v:
         raise ParameterContradictionError(f"group order {len(table)} != v = {v}")
+    if limit is not None and limit < 1:
+        return []
+    if k == 1:
+        return [frozenset({0})]
     inv = classifier.inverses(table)
     quot = [[row[j] for j in inv] for row in table]  # quot[x][y] = x y^-1
+    if limit is None and k < v < 2 * k:
+        least = []
+        for C in search_difference_sets(table, v, v - k, v - 2 * k + lam):
+            rest = [x for x in range(v) if x not in C]
+            least.append(min(sorted(quot[x][y] for x in rest) for y in rest))
+        return [frozenset(D) for D in sorted(least)]
     quot_t = [list(col) for col in zip(*quot)]  # quot_t[y][x] = x y^-1
-    results = []
-    counts = [0] * v
-    chosen = [0, 1] if k >= 2 else [0]
-    for x in chosen[1:]:
-        counts[quot[x][0]] += 1
-        counts[quot[0][x]] += 1
-    if any(c > lam for c in counts):
-        return results
+    cap = inf if limit is None else limit
+    whole = (1 << v) - 1
+    results, counts, chosen, saturated = [], [0] * v, [0], []
 
-    def is_canonical(D):
-        key = sorted(D)
-        return all(key <= sorted(quot[x][d] for x in D) for d in D[1:])
-
-    def extend(start):
-        if limit is not None and len(results) >= limit:
-            return
-        if len(chosen) == k:
-            if all(c == lam for c in counts[1:]) and is_canonical(chosen):
-                results.append(frozenset(chosen))
-            return
-        for nxt in range(start, v - (k - len(chosen)) + 1):
-            row, col = quot[nxt], quot_t[nxt]
-            deltas = [row[d] for d in chosen] + [col[d] for d in chosen]
-            for delta in deltas:
-                counts[delta] += 1
-            if all(counts[delta] <= lam for delta in deltas):
+    def add(nxt, prefix, blocked, translates):
+        """Search every completion of chosen + [nxt].  `prefix` is the
+        bitset of chosen, `blocked` that of the blocked candidates and
+        translates[i] that of chosen * chosen[i]^-1 (the prefix itself
+        for chosen[0] = 0, which never cuts)."""
+        row, col = quot[nxt], quot_t[nxt]
+        outs = [row[d] for d in chosen]  # nxt d^-1
+        ins = [col[d] for d in chosen]  # d nxt^-1
+        deltas = outs + ins
+        for s in deltas:
+            counts[s] += 1
+        if all(counts[s] <= lam for s in deltas):
+            top = 1 << nxt
+            prefix |= top
+            translates = [t | 1 << s for t, s in zip(translates, outs)]
+            translates.append(sum(1 << s for s in ins) | 1)
+            if not _beaten(prefix, translates):
+                mark = len(saturated)
+                saturated.extend({s for s in deltas if counts[s] == lam})
+                for s in saturated:
+                    blocked |= 1 << table[s][nxt]
+                for s in saturated[mark:]:
+                    for d in chosen:
+                        blocked |= 1 << table[s][d]
                 chosen.append(nxt)
-                extend(nxt + 1)
+                need = k - len(chosen)
+                if need == 0:
+                    results.append(frozenset(chosen))
+                else:
+                    free = whole & -(top << 1) & ~blocked  # unblocked, above nxt
+                    avail = free.bit_count()
+                    while avail >= need and len(results) < cap:
+                        low = free & -free
+                        add(low.bit_length() - 1, prefix, blocked, translates)
+                        free ^= low
+                        avail -= 1
                 chosen.pop()
-            for delta in deltas:
-                counts[delta] -= 1
-            if limit is not None and len(results) >= limit:
-                return
+                del saturated[mark:]
+        for s in deltas:
+            counts[s] -= 1
 
-    extend(len(chosen))
+    add(1, 1, 0, [1])
     return results
+
+
+def _beaten(prefix, translates):
+    """Whether some translate bitset t of the prefix bitset holds every
+    prefix element below q, the least element of t outside the prefix:
+    the partial canonicity cut of search_difference_sets."""
+    for t in translates:
+        q = t & ~prefix
+        q &= -q
+        if q and not prefix & (q - 1) & ~t:
+            return True
+    return False

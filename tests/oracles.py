@@ -1,13 +1,15 @@
 """Reference implementations that only the tests call: the Cayley
 definition of the graph, a subgroup of each order, the halved graphs of
-a bipartite graph and the coset-profile reconstruction of a DFT value.
+a bipartite graph, the coset-profile reconstruction of a DFT value and
+the difference-set search that starts from {0, 1} without further cuts.
 Each one checks a faster or more specific routine of the package."""
 
 import cmath
 
-from dicirculant import group
+from dicirculant import classifier, group
 from dicirculant.cayley import Graph, bit_members, bitset, graph_from_edges
 from dicirculant.group import generated_subgroup
+from dicirculant.search import ParameterContradictionError, check_ds_parameters
 from dicirculant.structure import all_pairs_distances, bipartition
 
 
@@ -64,3 +66,66 @@ def profile_reconstruction(counts, m):
     r = len(counts)
     xi = cmath.exp(2j * cmath.pi / m * (m // r)) if m > 1 else 1.0
     return sum(e * xi ** i for i, e in enumerate(counts))
+
+
+def seeded_search_difference_sets(table, v, k, lam, limit=None):
+    """Oracle for search_difference_sets: the same search without its
+    complement switch, forward checking and partial canonicity.
+
+    All (v, k, lam) difference sets in the group given by `table`,
+    up to right translation: only sets whose sorted index tuple is
+    minimal among all right-translates Dg are returned, in increasing
+    order of that tuple.  Backtracking over k-subsets with partial
+    difference-count pruning.
+
+    The search starts from {0, 1} ({0} when k = 1), because every
+    returned set holds both.  For d in D the translate Dd^-1 holds 0,
+    and a tuple without 0 sorts after it.  For k >= 2, lam >= 1, so
+    1 = xy^-1 for some x, y in D, and Dy^-1 holds {0, 1}.  For the same
+    reason the canonical test compares D only with the k - 1 translates
+    Dd^-1, d in D minus 0: they are the translates that hold 0, and any
+    other sorts after D.  The argument needs only a Latin square with
+    identity 0, which validate_group_table enforces."""
+    check_ds_parameters(v, k, lam)
+    classifier.validate_group_table(table)
+    if len(table) != v:
+        raise ParameterContradictionError(f"group order {len(table)} != v = {v}")
+    inv = classifier.inverses(table)
+    quot = [[row[j] for j in inv] for row in table]  # quot[x][y] = x y^-1
+    quot_t = [list(col) for col in zip(*quot)]  # quot_t[y][x] = x y^-1
+    results = []
+    counts = [0] * v
+    chosen = [0, 1] if k >= 2 else [0]
+    for x in chosen[1:]:
+        counts[quot[x][0]] += 1
+        counts[quot[0][x]] += 1
+    if any(c > lam for c in counts):
+        return results
+
+    def is_canonical(D):
+        key = sorted(D)
+        return all(key <= sorted(quot[x][d] for x in D) for d in D[1:])
+
+    def extend(start):
+        if limit is not None and len(results) >= limit:
+            return
+        if len(chosen) == k:
+            if all(c == lam for c in counts[1:]) and is_canonical(chosen):
+                results.append(frozenset(chosen))
+            return
+        for nxt in range(start, v - (k - len(chosen)) + 1):
+            row, col = quot[nxt], quot_t[nxt]
+            deltas = [row[d] for d in chosen] + [col[d] for d in chosen]
+            for delta in deltas:
+                counts[delta] += 1
+            if all(counts[delta] <= lam for delta in deltas):
+                chosen.append(nxt)
+                extend(nxt + 1)
+                chosen.pop()
+            for delta in deltas:
+                counts[delta] -= 1
+            if limit is not None and len(results) >= limit:
+                return
+
+    extend(len(chosen))
+    return results

@@ -15,6 +15,7 @@ from dicirculant.classifier import cyclic_table
 from dicirculant.metrics import is_distance_regular
 from dicirculant.search import (ParameterContradictionError, enumerate_specs,
                                 search_difference_sets, survey)
+from oracles import seeded_search_difference_sets
 
 
 def orbit_representatives(n):
@@ -360,13 +361,15 @@ def admissible_parameters(v):
             if k * (k - 1) % (v - 1) == 0]
 
 
-def oracle_cases():
+def oracle_cases(max_v=16, max_n=4):
+    """Every admissible (k, lam) of a relabelled Z_v, v <= max_v, and of
+    Dic_n, n <= max_n, in natural and in relabelled labels."""
     rng = random.Random(8)
-    for v in range(1, 17):
+    for v in range(1, max_v + 1):
         table = relabelled(cyclic_table(v), rng)
         for k, lam in admissible_parameters(v):
             yield f"Z{v}", table, v, k, lam
-    for n in range(1, 5):
+    for n in range(1, max_n + 1):
         table, _ = group.multiplication_table(n)
         for label, t in ((f"Dic{n}", table), (f"Dic{n}r", relabelled(table, rng))):
             for k, lam in admissible_parameters(4 * n):
@@ -382,6 +385,36 @@ class TestDifferenceSetSearch:
                 if search_difference_sets(table, v, k, lam, limit) != expected:
                     mismatches.append((label, v, k, lam, limit))
         assert mismatches == []
+
+    def test_matches_seeded_search(self):
+        mismatches = []
+        for label, table, v, k, lam in oracle_cases(max_v=20, max_n=5):
+            for limit in (None, 1, 2, 5):
+                expected = seeded_search_difference_sets(table, v, k, lam, limit)
+                if search_difference_sets(table, v, k, lam, limit) != expected:
+                    mismatches.append((label, v, k, lam, limit))
+        assert mismatches == []
+
+    @pytest.mark.parametrize("limit", [None, 1])
+    def test_one_class_when_k_is_v_or_v_minus_1(self, limit):
+        # every (v - 1)-set is a translate of G - {v - 1}; k = v is G
+        rng = random.Random(3)
+        for table in (relabelled(cyclic_table(7), rng),
+                      group.multiplication_table(3)[0]):
+            v = len(table)
+            assert search_difference_sets(table, v, v - 1, v - 2, limit) \
+                == [frozenset(range(v - 1))]
+            assert search_difference_sets(table, v, v, v, limit) \
+                == [frozenset(range(v))]
+
+    def test_fano_complement_classes(self):
+        # v = 2k - 1: the full search runs on the complements, the
+        # limited one directly
+        table = cyclic_table(7)
+        assert search_difference_sets(table, 7, 4, 2) \
+            == [frozenset({0, 1, 2, 4}), frozenset({0, 1, 2, 5})]
+        assert search_difference_sets(table, 7, 4, 2, limit=1) \
+            == [frozenset({0, 1, 2, 4})]
 
     def test_fano_classes(self):
         results = search_difference_sets(cyclic_table(7), 7, 3, 1)
@@ -433,6 +466,15 @@ class TestDifferenceSetSearch:
         assert len(everything) > 5
         for j in range(6):
             assert search_difference_sets(table, 16, 6, 2, limit=j) \
+                == everything[:j]
+
+    def test_limit_respected_when_2k_exceeds_v(self):
+        # the full search runs on the complements, a limited one directly
+        table, _ = group.multiplication_table(4)
+        everything = search_difference_sets(table, 16, 10, 6)
+        assert len(everything) > 5
+        for j in range(6):
+            assert search_difference_sets(table, 16, 10, 6, limit=j) \
                 == everything[:j]
 
     def test_canonical_filter_is_translate_minimal(self):
