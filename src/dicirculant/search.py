@@ -296,21 +296,26 @@ def search_difference_sets(table, v, k, lam, limit=None):
     """All (v, k, lam) difference sets in the group given by `table`,
     up to right translation: only sets whose sorted index tuple is
     minimal among all right-translates Dg are returned, in increasing
-    order of that tuple.  Backtracking over k-subsets, each built in
-    increasing order, with partial difference-count pruning.
+    order of that tuple, the first `limit` of them when it is given.
+    Backtracking over k-subsets, each built in increasing order, with
+    partial difference-count pruning.
 
-    The search starts from {0, 1} ({0} when k = 1), because every
-    returned set holds both.  For d in D the translate Dd^-1 holds 0,
-    and a tuple without 0 sorts after it.  For k >= 2, lam >= 1, so
-    1 = xy^-1 for some x, y in D, and Dy^-1 holds {0, 1}.  For the same
-    reason D is compared only with the k - 1 translates Dd^-1, d in D
-    minus 0: they are the translates that hold 0, and any other sorts
-    after D.  The argument needs only a Latin square with identity 0,
-    which validate_group_table enforces.
+    For k = 1 and k >= v - 1 the answer is known: every such k-set is a
+    difference set, the translates of one set are all of them, and the
+    least is {0, ..., k - 1}.
 
-    Three cuts shrink the search.  Each one drops only branches that
-    hold no result and keeps the depth-first order, so the results,
-    under `limit` too, are those of the search without them.
+    The search starts from {0, 1}, because every returned set holds
+    both.  For d in D the translate Dd^-1 holds 0, and a tuple without
+    0 sorts after it.  For k >= 2, lam >= 1, so 1 = xy^-1 for some x, y
+    in D, and Dy^-1 holds {0, 1}.  For the same reason D is compared
+    only with the k - 1 translates Dd^-1, d in D minus 0: they are the
+    translates that hold 0, and any other sorts after D.  The argument
+    needs only a Latin square with identity 0, which
+    validate_group_table enforces.
+
+    Four cuts shrink the search.  Each one drops only branches that
+    hold no result, so the results, under `limit` too, are those of the
+    search without them.
 
     Complement.  (G - C)g = G - Cg, so the translate classes of the
     (v, k, lam) sets and of their complements, the (v, v - k,
@@ -319,6 +324,24 @@ def search_difference_sets(table, v, k, lam, limit=None):
     the least translate of each found set's complement, sorted.  A
     limited search stays direct, since the complement side would have
     to run in full to tell which sets come first.
+
+    Multiplier.  The First Multiplier Theorem (M. Hall, "Cyclic
+    projective planes", Duke Math. J. 14 (1947); M. Hall and H. J.
+    Ryser, "Cyclic incidence matrices", Canad. J. Math. 3 (1951)): let
+    D be a (v, k, lam) difference set in an abelian group G and p a
+    prime that divides n = k - lam, with p > lam and p coprime to v.
+    Then x -> x^p maps D onto a translate of D.  Let gcd(k, v) = 1 as
+    well.  Dg has product pi(D) g^k, and g -> g^k is a bijection of G,
+    so each translate class has exactly one member whose elements
+    multiply to the identity.  The image of that member under x -> x^p
+    has product 1 too and is a translate of it, so it is the member
+    itself.  Hence that member is a union of orbits of the group M
+    generated by the maps x -> x^p, and the search picks orbits instead
+    of elements: it keeps the unions of k elements with product 1,
+    one per class, maps each to its least translate and sorts them.
+    When every x -> x^p fixes every element, the orbits are single
+    elements and the search would lose the partial canonicity cut, so
+    it stays on the element search.
 
     Forward checking.  A quotient s = xy^-1, x and y chosen, is
     saturated once lam pairs give it; counts only grow deeper in the
@@ -347,16 +370,17 @@ def search_difference_sets(table, v, k, lam, limit=None):
         raise ParameterContradictionError(f"group order {len(table)} != v = {v}")
     if limit is not None and limit < 1:
         return []
-    if k == 1:
-        return [frozenset({0})]
+    if k == 1 or k >= v - 1:
+        return [frozenset(range(k))]
     inv = classifier.inverses(table)
     quot = [[row[j] for j in inv] for row in table]  # quot[x][y] = x y^-1
     if limit is None and k < v < 2 * k:
-        least = []
-        for C in search_difference_sets(table, v, v - k, v - 2 * k + lam):
-            rest = [x for x in range(v) if x not in C]
-            least.append(min(sorted(quot[x][y] for x in rest) for y in rest))
-        return [frozenset(D) for D in sorted(least)]
+        complements = ([x for x in range(v) if x not in C]
+                       for C in search_difference_sets(table, v, v - k, v - 2 * k + lam))
+        return _least_translates(quot, complements)
+    maps = _multiplier_maps(table, v, k, lam)
+    if maps:
+        return _least_translates(quot, _orbit_unions(table, quot, k, lam, maps))[:limit]
     quot_t = [list(col) for col in zip(*quot)]  # quot_t[y][x] = x y^-1
     cap = inf if limit is None else limit
     whole = (1 << v) - 1
@@ -404,6 +428,100 @@ def search_difference_sets(table, v, k, lam, limit=None):
             counts[s] -= 1
 
     add(1, 1, 0, [1])
+    return results
+
+
+def _least_translates(quot, sets):
+    """The least right translate of each set D, in increasing order of
+    its sorted tuple: the least of the translates Dy^-1, y in D, which
+    hold 0."""
+    least = sorted(min(sorted(quot[x][y] for x in D) for y in D) for D in sets)
+    return [frozenset(D) for D in least]
+
+
+def _prime_factors(n):
+    """The distinct primes dividing n >= 1, in increasing order."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
+
+
+def _multiplier_maps(table, v, k, lam):
+    """The maps x -> x^p, as lists, that move some element, for the
+    primes p that the First Multiplier Theorem makes multipliers of
+    every (v, k, lam) set; none unless the group is abelian and
+    gcd(k, v) = 1, as the search on their orbits needs both."""
+    primes = [p for p in _prime_factors(k - lam) if p > lam and v % p]
+    if not primes or gcd(k, v) != 1 \
+            or any(table[x][y] != table[y][x] for x in range(v) for y in range(x)):
+        return []
+    maps = []
+    for p in primes:
+        power, base = [0] * v, list(range(v))  # x^0, x^1; then squarings
+        while p:
+            if p & 1:
+                power = [table[a][b] for a, b in zip(power, base)]
+            base = [table[b][b] for b in base]
+            p >>= 1
+        if power != list(range(v)):
+            maps.append(power)
+    return maps
+
+
+def _orbit_unions(table, quot, k, lam, maps):
+    """The (v, k, lam) difference sets that are unions of orbits of the
+    group generated by the permutations `maps` and whose elements
+    multiply to the identity 0, as lists.  Backtracking over the orbits
+    in order of their least element; a branch stops once a quotient is
+    counted more than lam times."""
+    orbits, seen = [], set()
+    for x in range(len(table)):
+        if x not in seen:
+            orbit, frontier = {x}, [x]
+            while frontier:
+                y = frontier.pop()
+                for image in (m[y] for m in maps):
+                    if image not in orbit:
+                        orbit.add(image)
+                        frontier.append(image)
+            seen |= orbit
+            orbits.append(sorted(orbit))
+    products = []
+    for orbit in orbits:
+        product = 0
+        for x in orbit:
+            product = table[product][x]
+        products.append(product)
+    results, counts, chosen = [], [0] * len(table), []
+
+    def extend(start, product):
+        if len(chosen) == k:
+            if product == 0:
+                results.append(list(chosen))
+            return
+        for i in range(start, len(orbits)):
+            orbit = orbits[i]
+            if len(chosen) + len(orbit) > k:
+                continue
+            deltas = []
+            for x in orbit:
+                deltas += [quot[x][y] for y in chosen]
+                deltas += [quot[y][x] for y in chosen]
+                chosen.append(x)
+            for s in deltas:
+                counts[s] += 1
+            if all(counts[s] <= lam for s in deltas):
+                extend(i + 1, table[product][products[i]])
+            for s in deltas:
+                counts[s] -= 1
+            del chosen[-len(orbit):]
+
+    extend(0, 0)
     return results
 
 

@@ -382,6 +382,18 @@ class TestSearchDS:
         assert code == EXIT_USAGE and out == ""
         assert "lam >= 0" in err
 
+    @pytest.mark.parametrize("k, lam, limit", [
+        ("1023", "1022", ["--limit", "1"]), ("1023", "1022", []),
+        ("1024", "1024", ["--limit", "1"]), ("1024", "1024", [])],
+        ids=["v-1-limit", "v-1", "v-limit", "v"])
+    def test_k_at_least_order_minus_one_at_the_bound(self, capsys, k, lam, limit):
+        # one class, the least k-set, without a search as deep as k
+        code, out, _ = run(capsys, "search-ds", "--group", "cyclic", "--order",
+                           "1024", "--k", k, "--lam", lam, "--format", "json",
+                           *limit)
+        assert code == EXIT_OK
+        assert json.loads(out)["difference_sets"] == [list(range(int(k)))]
+
     def test_dicyclic_order_must_be_multiple_of_four(self, capsys):
         code, _, err = run(capsys, "search-ds", "--group", "dicyclic",
                            "--order", "6", "--k", "3", "--lam", "1")

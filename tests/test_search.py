@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 import json
 import random
 import weakref
@@ -490,3 +491,71 @@ class TestDifferenceSetSearch:
             key = tuple(sorted(D))
             for g in range(16):
                 assert key <= tuple(sorted(table[d][g] for d in D))
+
+
+def abelian_table(*orders):
+    """The table of Z_orders[0] x Z_orders[1] x ..., elements numbered in
+    lexicographic order of their coordinates, so 0 is the identity."""
+    elements = list(itertools.product(*(range(m) for m in orders)))
+    index = {x: i for i, x in enumerate(elements)}
+    return [[index[tuple((a + b) % m for a, b, m in zip(x, y, orders))]
+             for y in elements] for x in elements]
+
+
+def refuse_orbit_search(*args, **kwargs):
+    raise AssertionError("took the multiplier path")
+
+
+class TestMultiplierPath:
+    @pytest.mark.parametrize("limit", [None, 1, 2])
+    @pytest.mark.parametrize("v, k, lam", [(21, 5, 1), (31, 6, 1), (37, 9, 2),
+                                           (57, 8, 1)])
+    def test_cyclic_matches_seeded_search(self, v, k, lam, limit):
+        table = relabelled(cyclic_table(v), random.Random(v))
+        assert search._multiplier_maps(table, v, k, lam)
+        assert search_difference_sets(table, v, k, lam, limit) \
+            == seeded_search_difference_sets(table, v, k, lam, limit)
+
+    def test_z3_z9_matches_seeded_search(self):
+        # 7 divides n = 7, exceeds lam = 6, and x -> x^7 moves the Z_9
+        # part; both searches find that Z_3 x Z_9 holds no such set
+        table = abelian_table(3, 9)
+        assert search._multiplier_maps(table, 27, 13, 6)
+        assert search_difference_sets(table, 27, 13, 6) \
+            == seeded_search_difference_sets(table, 27, 13, 6)
+
+    @pytest.mark.parametrize("limit", [1, 2])
+    def test_z3_cubed_stays_on_element_search(self, monkeypatch, limit):
+        # 7 = 1 mod 3, so x -> x^7 fixes every element of Z_3^3
+        table = abelian_table(3, 3, 3)
+        monkeypatch.setattr(search, "_orbit_unions", refuse_orbit_search)
+        assert search_difference_sets(table, 27, 13, 6, limit) \
+            == seeded_search_difference_sets(table, 27, 13, 6, limit)
+
+    @pytest.mark.parametrize("table, v, k, lam", [
+        (abelian_table(3, 3, 3), 27, 13, 6),  # x -> x^7 is the identity
+        (cyclic_table(15), 15, 7, 3),  # 2 divides n = 4 but 2 <= lam
+        (cyclic_table(16), 16, 6, 2),  # 2 divides n = 4 and v
+        (cyclic_table(92), 92, 14, 2),  # 3 qualifies, gcd(k, v) = 2
+        (group.multiplication_table(14)[0], 56, 11, 2),  # 3 qualifies, Dic_14
+    ], ids=["Z3^3", "Z15", "Z16", "Z92", "Dic14"])
+    def test_no_maps_outside_the_theorem(self, table, v, k, lam):
+        assert search._multiplier_maps(table, v, k, lam) == []
+
+    def test_cyclic_43_21_10(self):
+        # out of reach of the element search; 11 divides n and exceeds lam
+        table = cyclic_table(43)
+        found = search_difference_sets(table, 43, 21, 10)
+        assert len(found) == 8
+        classes = set()
+        for D in found:
+            assert classifier.difference_set_lambda(table, D) == 10
+            translates = {tuple(sorted((d + g) % 43 for d in D)) for g in range(43)}
+            assert min(translates) == tuple(sorted(D))
+            assert not translates & classes
+            classes |= translates
+
+    def test_prime_factors(self):
+        from sympy import primefactors
+        for n in range(1, 3000):
+            assert search._prime_factors(n) == primefactors(n)
