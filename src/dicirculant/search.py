@@ -6,7 +6,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, product
-from math import gcd, inf
+from math import gcd, inf, isqrt
 
 from . import classifier, fourier, group, structure
 from .cayley import (ConnectionSpec, build_graph, difference_gcd, generates_group,
@@ -313,6 +313,20 @@ def search_difference_sets(table, v, k, lam, limit=None):
     needs only a Latin square with identity 0, which
     validate_group_table enforces.
 
+    Two theorems answer [] before any search.  Let n = k - lam.
+    Schuetzenberger (M. P. Schuetzenberger, "A non-existence theorem for
+    an infinite family of symmetrical block designs", Ann. Eugenics 14
+    (1949)): a symmetric design with v even has n a perfect square, so
+    with v even and n not a square no group holds a (v, k, lam) set.
+    Turyn (R. J. Turyn, "Character sums and difference sets", Pacific J.
+    Math. 15 (1965)): let v = 4u^2 with u = 2^d, d >= 1, and (k, lam) =
+    (2u^2 - u, u^2 - u) or its complement (2u^2 + u, u^2 + u); given
+    k(k-1) = lam(v-1), that is the same as v = 4n with n = u^2.
+    An abelian group of order v holds such a set only if its exponent
+    is at most 4u; R. E. Kraemer ("Proof of a conjecture on Hadamard
+    2-groups", J. Combin. Theory Ser. A 63 (1993)) showed that every
+    abelian group within the bound holds one.
+
     Four cuts shrink the search.  Each one drops only branches that
     hold no result, so the results, under `limit` too, are those of the
     search without them.
@@ -325,21 +339,24 @@ def search_difference_sets(table, v, k, lam, limit=None):
     limited search stays direct, since the complement side would have
     to run in full to tell which sets come first.
 
-    Multiplier.  The First Multiplier Theorem (M. Hall, "Cyclic
-    projective planes", Duke Math. J. 14 (1947); M. Hall and H. J.
-    Ryser, "Cyclic incidence matrices", Canad. J. Math. 3 (1951)): let
-    D be a (v, k, lam) difference set in an abelian group G and p a
-    prime that divides n = k - lam, with p > lam and p coprime to v.
-    Then x -> x^p maps D onto a translate of D.  Let gcd(k, v) = 1 as
-    well.  Dg has product pi(D) g^k, and g -> g^k is a bijection of G,
-    so each translate class has exactly one member whose elements
-    multiply to the identity.  The image of that member under x -> x^p
-    has product 1 too and is a translate of it, so it is the member
-    itself.  Hence that member is a union of orbits of the group M
-    generated by the maps x -> x^p, and the search picks orbits instead
-    of elements: it keeps the unions of k elements with product 1,
-    one per class, maps each to its least translate and sorts them.
-    When every x -> x^p fixes every element, the orbits are single
+    Multiplier.  The Second Multiplier Theorem (E. S. Lander, Symmetric
+    Designs: An Algebraic Approach, Cambridge University Press (1983);
+    T. Beth, D. Jungnickel and H. Lenz, Design Theory, ch. VI): let D be
+    a (v, k, lam) difference set in an abelian group G of exponent v*,
+    and m a divisor of n with m > lam and gcd(m, v) = 1.  Let t be an
+    integer such that, for each prime p dividing m, t = p^f (mod v*)
+    for some f.  Then x -> x^t maps D onto a translate of D.  Hall's
+    First Multiplier Theorem is the case of a prime m = p, t = p
+    (M. Hall, "Cyclic projective planes", Duke Math. J. 14 (1947)).
+    Let gcd(k, v) = 1 as well.  Dg has product pi(D) g^k, and g -> g^k
+    is a bijection of G, so each translate class has exactly one member
+    whose elements multiply to the identity.  The image of that member
+    under x -> x^t has product 1 too and is a translate of it, so it is
+    the member itself.  Hence that member is a union of orbits of the
+    group M generated by these maps, and the search picks orbits
+    instead of elements: it keeps the unions of k elements with product
+    1, one per class, maps each to its least translate and sorts them.
+    When every x -> x^t fixes every element, the orbits are single
     elements and the search would lose the partial canonicity cut, so
     it stays on the element search.
 
@@ -372,6 +389,13 @@ def search_difference_sets(table, v, k, lam, limit=None):
         return []
     if k == 1 or k >= v - 1:
         return [frozenset(range(k))]
+    n, u = k - lam, isqrt(k - lam)
+    if v % 2 == 0 and u * u != n:  # Schuetzenberger
+        return []
+    if v == 4 * n and u >= 2 and u & (u - 1) == 0:  # Turyn
+        exponent = _abelian_exponent(table)
+        if exponent is not None and exponent > 4 * u:
+            return []
     inv = classifier.inverses(table)
     quot = [[row[j] for j in inv] for row in table]  # quot[x][y] = x y^-1
     if limit is None and k < v < 2 * k:
@@ -452,25 +476,60 @@ def _prime_factors(n):
 
 
 def _multiplier_maps(table, v, k, lam):
-    """The maps x -> x^p, as lists, that move some element, for the
-    primes p that the First Multiplier Theorem makes multipliers of
-    every (v, k, lam) set; none unless the group is abelian and
-    gcd(k, v) = 1, as the search on their orbits needs both."""
-    primes = [p for p in _prime_factors(k - lam) if p > lam and v % p]
-    if not primes or gcd(k, v) != 1 \
-            or any(table[x][y] != table[y][x] for x in range(v) for y in range(x)):
+    """Maps x -> x^t, as lists, that generate the multipliers the Second
+    Multiplier Theorem gives every (v, k, lam) set, one for each divisor
+    m of n = k - lam with m > lam and gcd(m, v) = 1, the identity left
+    out; none unless the group is abelian and gcd(k, v) = 1, as the
+    search on their orbits needs both.
+
+    The t of one m, taken mod the exponent e, are the units that lie in
+    <p mod e> for every prime p | m.  They form a subgroup of the cyclic
+    group <p0 mod e>, p0 the least such p, so the least power of p0
+    among them generates them.  x -> x^t moves some element unless
+    t = 1 (mod e), as some element has order e."""
+    n = k - lam
+    divisors = [m for m in range(max(lam + 1, 2), n + 1)
+                if n % m == 0 and gcd(m, v) == 1]
+    if not divisors or gcd(k, v) != 1:
         return []
-    maps = []
-    for p in primes:
-        power, base = [0] * v, list(range(v))  # x^0, x^1; then squarings
-        while p:
-            if p & 1:
-                power = [table[a][b] for a, b in zip(power, base)]
-            base = [table[b][b] for b in base]
-            p >>= 1
-        if power != list(range(v)):
-            maps.append(power)
-    return maps
+    e = _abelian_exponent(table)
+    if e is None:
+        return []
+    generators = set()
+    for m in divisors:
+        p0, *primes = _prime_factors(m)
+        subgroups = [{pow(p, f, e) for f in range(e)} for p in primes]
+        t = p0 % e
+        while not all(t in powers for powers in subgroups):
+            t = t * p0 % e
+        generators.add(t)
+    return [_power_map(table, t) for t in sorted(generators - {1})]
+
+
+def _abelian_exponent(table):
+    """The exponent of the group, None unless it is abelian.  Starting
+    from e = v, e is divided by each prime p | v while p^2 divides it and
+    every x^(e/p) is the identity; p itself divides the exponent by
+    Cauchy's theorem, so a prime v is the exponent untested."""
+    v = len(table)
+    if any(table[x][y] != table[y][x] for x in range(v) for y in range(x)):
+        return None
+    e = v
+    for p in _prime_factors(v):
+        while e % (p * p) == 0 and not any(_power_map(table, e // p)):
+            e //= p
+    return e
+
+
+def _power_map(table, t):
+    """[x^t for every element x], t >= 0, by repeated squaring."""
+    power, base = [0] * len(table), list(range(len(table)))
+    while t:
+        if t & 1:
+            power = [table[a][b] for a, b in zip(power, base)]
+        base = [table[b][b] for b in base]
+        t >>= 1
+    return power
 
 
 def _orbit_unions(table, quot, k, lam, maps):

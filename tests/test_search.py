@@ -506,6 +506,68 @@ def refuse_orbit_search(*args, **kwargs):
     raise AssertionError("took the multiplier path")
 
 
+def refuse_search(*args, **kwargs):
+    raise AssertionError("reached the search")
+
+
+def assert_translate_classes(table, v, lam, found):
+    """Each set of `found` is a (v, k, lam) difference set of the cyclic
+    `table`, is its own least translate, and no two are translates."""
+    classes = set()
+    for D in found:
+        assert classifier.difference_set_lambda(table, D) == lam
+        translates = {tuple(sorted((d + g) % v for d in D)) for g in range(v)}
+        assert min(translates) == tuple(sorted(D))
+        assert not translates & classes
+        classes |= translates
+
+
+ABELIAN_16 = {"Z16": (16,), "Z8xZ2": (8, 2), "Z4xZ4": (4, 4),
+              "Z4xZ2^2": (4, 2, 2), "Z2^4": (2, 2, 2, 2)}
+
+
+class TestNonexistence:
+    @pytest.mark.parametrize("limit", [None, 1])
+    def test_schuetzenberger_cyclic(self, monkeypatch, limit):
+        # v = 22 is even and n = 5 is not a square
+        table = relabelled(cyclic_table(22), random.Random(22))
+        expected = seeded_search_difference_sets(table, 22, 7, 2, limit)
+        assert expected == []
+        monkeypatch.setattr(classifier, "inverses", refuse_search)
+        assert search_difference_sets(table, 22, 7, 2, limit) == expected
+
+    @pytest.mark.parametrize("limit", [None, 1])
+    @pytest.mark.parametrize("v, k, lam", [(52, 18, 6), (76, 25, 8), (92, 14, 2)])
+    def test_schuetzenberger_dicyclic(self, monkeypatch, v, k, lam, limit):
+        # n = 12, 17 and 12; each search ran for over a minute without the rule
+        table = group.multiplication_table(v // 4)[0]
+        monkeypatch.setattr(classifier, "inverses", refuse_search)
+        assert search_difference_sets(table, v, k, lam, limit) == []
+
+    @pytest.mark.parametrize("k, lam", [(6, 2), (10, 6)])
+    @pytest.mark.parametrize("name", ABELIAN_16)
+    def test_turyn_on_the_abelian_groups_of_order_16(self, monkeypatch, name, k, lam):
+        # u = 2: a set needs exponent <= 8, and Kraemer's construction
+        # gives one in every such group, Z8 x Z2 at the bound included
+        table = relabelled(abelian_table(*ABELIAN_16[name]), random.Random(16))
+        expected = seeded_search_difference_sets(table, 16, k, lam)
+        assert (expected == []) == (name == "Z16")
+        if name == "Z16":
+            monkeypatch.setattr(classifier, "inverses", refuse_search)
+        assert search_difference_sets(table, 16, k, lam) == expected
+
+    @pytest.mark.parametrize("orders, exponent", [
+        ((7,), 7), ((16,), 16), ((8, 2), 8), ((4, 4), 4), ((2, 2, 2, 2), 2),
+        ((3, 9), 9), ((3, 3, 3), 3), ((3, 57), 57)],
+        ids=["Z7", "Z16", "Z8xZ2", "Z4xZ4", "Z2^4", "Z3xZ9", "Z3^3", "Z3xZ57"])
+    def test_abelian_exponent(self, orders, exponent):
+        table = relabelled(abelian_table(*orders), random.Random(len(orders)))
+        assert search._abelian_exponent(table) == exponent
+
+    def test_no_exponent_for_a_nonabelian_group(self):
+        assert search._abelian_exponent(group.multiplication_table(4)[0]) is None
+
+
 class TestMultiplierPath:
     @pytest.mark.parametrize("limit", [None, 1, 2])
     @pytest.mark.parametrize("v, k, lam", [(21, 5, 1), (31, 6, 1), (37, 9, 2),
@@ -534,8 +596,8 @@ class TestMultiplierPath:
 
     @pytest.mark.parametrize("table, v, k, lam", [
         (abelian_table(3, 3, 3), 27, 13, 6),  # x -> x^7 is the identity
-        (cyclic_table(15), 15, 7, 3),  # 2 divides n = 4 but 2 <= lam
-        (cyclic_table(16), 16, 6, 2),  # 2 divides n = 4 and v
+        (cyclic_table(15), 15, 8, 4),  # no divisor of n = 4 exceeds lam = 4
+        (cyclic_table(16), 16, 6, 2),  # 4 divides n = 4 and shares 2 with v
         (cyclic_table(92), 92, 14, 2),  # 3 qualifies, gcd(k, v) = 2
         (group.multiplication_table(14)[0], 56, 11, 2),  # 3 qualifies, Dic_14
     ], ids=["Z3^3", "Z15", "Z16", "Z92", "Dic14"])
@@ -547,13 +609,43 @@ class TestMultiplierPath:
         table = cyclic_table(43)
         found = search_difference_sets(table, 43, 21, 10)
         assert len(found) == 8
-        classes = set()
-        for D in found:
-            assert classifier.difference_set_lambda(table, D) == 10
-            translates = {tuple(sorted((d + g) % 43 for d in D)) for g in range(43)}
-            assert min(translates) == tuple(sorted(D))
-            assert not translates & classes
-            classes |= translates
+        assert_translate_classes(table, 43, 10, found)
+
+    @pytest.mark.parametrize("v, k, lam, classes", [
+        (40, 13, 4, 4), (63, 31, 15, 12), (35, 17, 8, 2)])
+    def test_second_theorem_classes(self, v, k, lam, classes):
+        # Out of reach of the First Theorem, as no prime divisor of n
+        # exceeds lam; m = n does (9, 16 and 9).  An inequivalent set D
+        # gives phi(v) / |M(D)| translate classes, M(D) its multipliers,
+        # here <3>, <2> and <3> mod v, of orders 4, 6 and 12: the Singer
+        # set of PG(3, 3); the Singer set of PG(5, 2) and the GMW set;
+        # the twin-prime set of 5 * 7.
+        table = cyclic_table(v)
+        found = search_difference_sets(table, v, k, lam)
+        assert len(found) == classes
+        assert_translate_classes(table, v, lam, found)
+        assert search_difference_sets(table, v, k, lam, limit=1) == found[:1]
+
+    def test_z15_7_3_takes_the_squaring_map(self):
+        # m = 4 divides n = 4 and exceeds lam = 3, so t = 2 is a multiplier
+        assert search._multiplier_maps(cyclic_table(15), 15, 7, 3) \
+            == [[2 * x % 15 for x in range(15)]]
+
+    @pytest.mark.parametrize("limit", [None, 1, 2])
+    @pytest.mark.parametrize("k, lam", [(7, 3), (8, 4)])
+    def test_z15_matches_seeded_search(self, k, lam, limit):
+        # a full (15, 8, 4) search runs on the (15, 7, 3) complements
+        table = relabelled(cyclic_table(15), random.Random(15))
+        assert search_difference_sets(table, 15, k, lam, limit) \
+            == seeded_search_difference_sets(table, 15, k, lam, limit)
+
+    def test_multipliers_are_taken_mod_the_exponent(self):
+        # Z_3 x Z_57 has exponent 57, and m = 14 divides n = 28, exceeds
+        # lam = 7 and is prime to v = 171.  Mod 57, <2> and <7> share
+        # {1, 7, 49}, generated by 7 = 2^6; mod 171 they share only 1
+        table = abelian_table(3, 57)
+        assert search._multiplier_maps(table, 171, 35, 7) \
+            == [[7 * a % 3 * 57 + 7 * b % 57 for a in range(3) for b in range(57)]]
 
     def test_prime_factors(self):
         from sympy import primefactors
