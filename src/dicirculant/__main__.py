@@ -1,0 +1,8 @@
+"""`python -m dicirculant`: the command-line interface of dicirculant.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

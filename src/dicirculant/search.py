@@ -348,14 +348,18 @@ def search_difference_sets(table, v, k, lam, limit=None):
     for some f.  Then x -> x^t maps D onto a translate of D.  Hall's
     First Multiplier Theorem is the case of a prime m = p, t = p
     (M. Hall, "Cyclic projective planes", Duke Math. J. 14 (1947)).
-    Let gcd(k, v) = 1 as well.  Dg has product pi(D) g^k, and g -> g^k
-    is a bijection of G, so each translate class has exactly one member
-    whose elements multiply to the identity.  The image of that member
-    under x -> x^t has product 1 too and is a translate of it, so it is
-    the member itself.  Hence that member is a union of orbits of the
-    group M generated by these maps, and the search picks orbits
-    instead of elements: it keeps the unions of k elements with product
-    1, one per class, maps each to its least translate and sorts them.
+    Let M be the group generated by these maps, and gcd(k, v) = 1 as
+    well.  Then every translate class has a member fixed by M: Dg has
+    product pi(D) g^k, and g -> g^k is a bijection of G, so exactly one
+    member of the class has its elements multiply to the identity; its
+    image under x -> x^t has product 1 too and is a translate of it, so
+    it is the member itself.  A class can hold more than one M-fixed
+    member: if D is fixed, (Dg)^t = Dg^t, which is Dg only for g^t = g,
+    as Dh = D only for h the identity when lam < k; so the M-fixed
+    members of D's class are the Dg with g fixed by every map.  Each
+    M-fixed set is a union of orbits of M, so the search picks orbits
+    instead of elements: it keeps every M-fixed set, maps each to its
+    least translate and keeps one least translate per class, sorted.
     When every x -> x^t fixes every element, the orbits are single
     elements and the search would lose the partial canonicity cut, so
     it stays on the element search.
@@ -398,9 +402,16 @@ def search_difference_sets(table, v, k, lam, limit=None):
             return []
     inv = classifier.inverses(table)
     quot = [[row[j] for j in inv] for row in table]  # quot[x][y] = x y^-1
+    return _search(table, quot, v, k, lam, limit)
+
+
+def _search(table, quot, v, k, lam, limit):
+    """search_difference_sets on a table it has checked, with
+    2 <= k <= v - 2 and limit None or positive: the complement step,
+    then the orbit search or the element search."""
     if limit is None and k < v < 2 * k:
         complements = ([x for x in range(v) if x not in C]
-                       for C in search_difference_sets(table, v, v - k, v - 2 * k + lam))
+                       for C in _search(table, quot, v, v - k, v - 2 * k + lam, None))
         return _least_translates(quot, complements)
     maps = _multiplier_maps(table, v, k, lam)
     if maps:
@@ -456,11 +467,12 @@ def search_difference_sets(table, v, k, lam, limit=None):
 
 
 def _least_translates(quot, sets):
-    """The least right translate of each set D, in increasing order of
-    its sorted tuple: the least of the translates Dy^-1, y in D, which
-    hold 0."""
-    least = sorted(min(sorted(quot[x][y] for x in D) for y in D) for D in sets)
-    return [frozenset(D) for D in least]
+    """The least right translate of each set D, the least of the
+    translates Dy^-1, y in D, which hold 0; one per translate class, as
+    sets of the same class share it, in increasing order of its sorted
+    tuple."""
+    least = {min(tuple(sorted(quot[x][y] for x in D)) for y in D) for D in sets}
+    return [frozenset(D) for D in sorted(least)]
 
 
 def _prime_factors(n):
@@ -479,8 +491,11 @@ def _multiplier_maps(table, v, k, lam):
     """Maps x -> x^t, as lists, that generate the multipliers the Second
     Multiplier Theorem gives every (v, k, lam) set, one for each divisor
     m of n = k - lam with m > lam and gcd(m, v) = 1, the identity left
-    out; none unless the group is abelian and gcd(k, v) = 1, as the
-    search on their orbits needs both.
+    out.  None unless the group is abelian, which the theorem needs, and
+    gcd(k, v) = 1, which gives every translate class a member fixed by
+    the group M of these maps: the orbit search keeps every M-fixed
+    set, one least translate per class, and would miss a class that
+    had none.
 
     The t of one m, taken mod the exponent e, are the units that lie in
     <p mod e> for every prime p | m.  They form a subgroup of the cyclic
@@ -533,11 +548,13 @@ def _power_map(table, t):
 
 
 def _orbit_unions(table, quot, k, lam, maps):
-    """The (v, k, lam) difference sets that are unions of orbits of the
-    group generated by the permutations `maps` and whose elements
-    multiply to the identity 0, as lists.  Backtracking over the orbits
-    in order of their least element; a branch stops once a quotient is
-    counted more than lam times."""
+    """Every (v, k, lam) difference set that is a union of orbits of the
+    group M generated by the permutations `maps`, that is every M-fixed
+    set, as lists; a translate class can give more than one, and
+    _least_translates keeps one least translate per class.  Backtracking
+    over the orbits in order of their least element; a branch stops once
+    a quotient is counted more than lam times, so a union that reaches k
+    elements counts each quotient lam times."""
     orbits, seen = [], set()
     for x in range(len(table)):
         if x not in seen:
@@ -550,18 +567,11 @@ def _orbit_unions(table, quot, k, lam, maps):
                         frontier.append(image)
             seen |= orbit
             orbits.append(sorted(orbit))
-    products = []
-    for orbit in orbits:
-        product = 0
-        for x in orbit:
-            product = table[product][x]
-        products.append(product)
     results, counts, chosen = [], [0] * len(table), []
 
-    def extend(start, product):
+    def extend(start):
         if len(chosen) == k:
-            if product == 0:
-                results.append(list(chosen))
+            results.append(list(chosen))
             return
         for i in range(start, len(orbits)):
             orbit = orbits[i]
@@ -575,12 +585,12 @@ def _orbit_unions(table, quot, k, lam, maps):
             for s in deltas:
                 counts[s] += 1
             if all(counts[s] <= lam for s in deltas):
-                extend(i + 1, table[product][products[i]])
+                extend(i + 1)
             for s in deltas:
                 counts[s] -= 1
             del chosen[-len(orbit):]
 
-    extend(0, 0)
+    extend(0)
     return results
 
 

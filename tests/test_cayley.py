@@ -32,6 +32,11 @@ class TestValidation:
             validate_spec(2, {0}, {0, 2})
         assert "ZeroInR" in err.value.violations
 
+    def test_nonpositive_n(self):
+        with pytest.raises(SpecValidationError) as err:
+            validate_spec(0, set(), set())
+        assert err.value.violations == ["NonPositiveN"]
+
     def test_empty_r_accepted(self):
         spec = validate_spec(1, set(), {0, 1})
         assert spec.connected  # C_4
@@ -59,7 +64,9 @@ class TestBuild:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_formula_matches_definition_exhaustive(self, n):
         for spec in all_valid_specs(n):
-            assert build_graph(spec) == definitional_graph(spec)
+            graph, reference = build_graph(spec), definitional_graph(spec)
+            assert graph == reference
+            assert hash(graph) == hash(reference)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())

@@ -268,6 +268,9 @@ class TestSurvey:
         code, out, _ = run(capsys, "check", "--format", "json", spec)
         assert code == EXIT_CROSS_CHECK
         assert json.loads(out)["cross_check_failure"] is True
+        code, out, _ = run(capsys, "check", "--format", "text", spec)
+        assert code == EXIT_CROSS_CHECK
+        assert "CROSS-CHECK FAILURE: classifier disagrees with BFS\n" in out
 
     def test_forced_drg_record_carries_witness(self, capsys, monkeypatch):
         # the other direction: a classifier that calls everything complete
@@ -478,6 +481,19 @@ def test_cli_import_stays_light():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_python_m_runs_the_cli(capsys):
+    # `python -m dicirculant` is cli.main: same stdout, same exit code
+    argv = ["search-ds", "--group", "cyclic", "--order", "7", "--k", "3",
+            "--lam", "1", "--format", "json"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "dicirculant", *argv],
+                            capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout) == run(capsys, *argv)[:2]
+    assert result.returncode == EXIT_OK
 
 
 NETWORKX_FREE_CALLS = [

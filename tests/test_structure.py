@@ -3,7 +3,8 @@ import pytest
 from conftest import all_valid_specs
 from dicirculant import cayley, structure
 from dicirculant.cayley import bitset, build_graph, graph_from_edges, validate_spec
-from dicirculant.metrics import distance_partition, is_distance_regular
+from dicirculant.metrics import (IntersectionArray, distance_partition,
+                                 is_distance_regular)
 from dicirculant.search import shell_flags
 from dicirculant.structure import (antipodal_classes, bipartition,
                                    distance_i_graph, is_primitive,
@@ -46,6 +47,11 @@ class TestAntipodal:
         st = antipodal_classes(K8, 1)
         assert st is not None
         assert len(st.fibres) == 1 and st.p == 8
+
+    def test_unequal_fibres(self):
+        # the path 0 - 1 - 2 at d = 2: the fibres {0, 2} and {1} differ in size
+        path = graph_from_edges(3, [(0, 1), (1, 2)])
+        assert antipodal_classes(path, 2) is None
 
     def test_fibres_are_equitable(self):
         st = antipodal_classes(K4x2, 2)
@@ -163,6 +169,11 @@ class TestFamilies:
             tag = _tag(crown)
             assert tag.kind == "CrownGraph" and tag.params == (m,)
             assert tag.also == also
+
+    def test_petersen_is_unrecognized(self):
+        # {3, 2; 1, 1} on 10 vertices: no family the array names
+        tag = recognize_family(IntersectionArray((3, 2), (1, 1)), 10)
+        assert tag.kind == "Unrecognized"
 
     def test_complement_of_matchings(self):
         tag = _tag(K4x2)
