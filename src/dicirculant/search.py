@@ -408,7 +408,9 @@ def search_difference_sets(table, v, k, lam, limit=None):
 def _search(table, quot, v, k, lam, limit):
     """search_difference_sets on a table it has checked, with
     2 <= k <= v - 2 and limit None or positive: the complement step,
-    then the orbit search or the element search."""
+    then the orbit search or the element search.  The complement
+    parameters pass the same checks and exits, as they keep v and
+    n = k - lam, and satisfy 2 <= v - k <= v - 2."""
     if limit is None and k < v < 2 * k:
         complements = ([x for x in range(v) if x not in C]
                        for C in _search(table, quot, v, v - k, v - 2 * k + lam, None))
