@@ -40,8 +40,8 @@ MAX_SURVEY_N = 13
 # text: n = 8 takes 4-5 s and 31 MB on the same VM, and n = 9 takes 16 s
 # and 18 MB in JSON, and 21 s and 65 MB in CSV.
 MAX_NO_DEDUP_N = 8
-# check and fourier cost n^2; at n = 512 on a 2-vCPU x86 VM check takes
-# 0.45 s and fourier 0.9-1.0 s.
+# the graph and fourier's float dft cost n^2; at n = 512 on a 2-vCPU
+# x86 VM check takes 0.11-0.15 s and fourier 0.47-0.61 s.
 MAX_SPEC_N = 512
 # search-ds builds an order^2 group table once (v, k, lam) pass counting:
 # on a 2-vCPU x86 VM the dicyclic one takes 2.4 s at order 1,024 and 9 s

@@ -1,11 +1,11 @@
-"""Characteristic functions on Z_m, exact convolution, the DFT with
-root of unity w = exp(2*pi*i/m) (= exp(pi*i/n) when m = 2n), unit-orbit
+"""Characteristic functions on Z_m, the DFT with root of unity
+w = exp(2*pi*i/m) (= exp(pi*i/n) when m = 2n), unit-orbit
 decomposition, coset counts and transversals, and the two spectral
 identities satisfied by distance-regular dicirculants.
 
 A function f on Z_m is a tuple of length m holding f(0), ..., f(m-1).
 The DFT is floating point and serves only as a diagnostic; the spectral
-identities are decided exactly, by integer convolution.
+identities are decided exactly, by popcounts of rotated masks.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from __future__ import annotations
 import cmath
 from math import gcd
 
-class ModulusMismatchError(ValueError):
-    pass
+from .cayley import rotations
 
 
 class InvalidDivisorError(ValueError):
@@ -28,15 +27,6 @@ class PreconditionViolatedError(ValueError):
 def indicator(A, m):
     A = {a % m for a in A}
     return tuple(1 if i in A else 0 for i in range(m))
-
-
-def convolve(f, g):
-    """(f*g)(z) = sum_i f(i) g(z-i), exact over the integers."""
-    if len(f) != len(g):
-        raise ModulusMismatchError(f"{len(f)} != {len(g)}")
-    m = len(f)
-    return tuple(sum(f[i] * g[(z - i) % m] for i in range(m))
-                 for z in range(m))
 
 
 def dft(f):
@@ -92,17 +82,23 @@ def check_fourier_lemma(spec, dp, array):
     with r, t, r2, t2 the DFTs of 1_R, 1_T, 1_R2, 1_T2; the DFT is
     injective, so the two forms agree.
 
+    Each convolution value is an intersection count:
+    (1_A*1_B)(z) = #{i in A : z - i in B} = |A n (z - B)|, the popcount
+    of rot_A[0] & rot_-B[z], with rot_X[z] the mask of z + X.  So the
+    counts are rot_R[0] & rot_R[z] for 1_R*1_R (R = -R), rot_T[0] &
+    rot_T[z] for 1_T*1_-T and rot_R[0] & rot_-T[z] for 1_R*1_T.
+
     For diameter 1 the distance-2 shells are empty and mu is taken as 0;
     the identities then degenerate to the complete-graph counting.
     """
     m = 2 * spec.n
-    lam = array.lam
     mu = array.mu if array.mu is not None else 0
-    r2 = indicator(dp.r_sets[2] if dp.diameter >= 2 else (), m)
-    t2 = indicator(dp.t_sets[2] if dp.diameter >= 2 else (), m)
-    r, t = indicator(spec.R, m), indicator(spec.T, m)
-    rr = convolve(r, r)
-    tt = convolve(t, indicator({-x for x in spec.T}, m))
-    rt = convolve(r, t)
-    return all(rr[z] + tt[z] == (z == 0) * array.k + lam * r[z] + mu * r2[z]
-               and 2 * rt[z] == lam * t[z] + mu * t2[z] for z in range(m))
+    R2, T2 = (dp.r_sets[2], dp.t_sets[2]) if dp.diameter >= 2 else ((), ())
+    rot_r, rot_t = rotations(spec.R, m), rotations(spec.T, m)
+    rot_neg_t = rotations((-x % m for x in spec.T), m)
+    r, t = rot_r[0], rot_t[0]
+    return all(
+        (r & rot_r[z]).bit_count() + (t & rot_t[z]).bit_count()
+        == (z == 0) * array.k + array.lam * (z in spec.R) + mu * (z in R2)
+        and 2 * (r & rot_neg_t[z]).bit_count()
+        == array.lam * (z in spec.T) + mu * (z in T2) for z in range(m))

@@ -163,7 +163,7 @@ def is_distance_regular(g, vertex_transitive_hint=False):
     With the hint, constants are checked against base vertex 0 only,
     which suffices when an automorphism carries 0 to every vertex.
     """
-    if g.n_vertices == 1:
+    if g.n_vertices <= 1:
         raise DisconnectedGraphError("graph must have at least one edge")
     triples = _shell_triples(g, 0)
     if isinstance(triples, NotDRGWitness):

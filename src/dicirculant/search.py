@@ -9,8 +9,9 @@ from itertools import chain, product
 from math import gcd, inf, isqrt
 
 from . import classifier, fourier, group, structure
-from .cayley import (ConnectionSpec, build_graph, difference_gcd, generates_group,
-                     is_subgroup, rotation_graph, rotations)
+from .cayley import (ConnectionSpec, SpecValidationError, build_graph,
+                     difference_gcd, generates_group, is_subgroup,
+                     rotation_graph, rotations)
 from .classifier import classify
 from .metrics import (IntersectionArray, NotDRGWitness, distance_partition,
                       is_distance_regular)
@@ -37,6 +38,8 @@ def enumerate_specs(n, dedup=True):
     factor of generates_group: the spec generates Dic_n iff T is
     non-empty and gcd(gcd(2n, R), difference_gcd(T)) = 1.
     """
+    if n < 1:
+        raise SpecValidationError(["NonPositiveN"])
     m = 2 * n
     r_sets, t_sets = _pair_unions(n)
     r_gcds = [gcd(m, *R) for R in r_sets]

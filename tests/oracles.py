@@ -1,8 +1,9 @@
-"""Reference implementations that only the tests call: the Cayley
-definition of the graph, a subgroup of each order, the halved graphs of
-a bipartite graph, the coset-profile reconstruction of a DFT value and
-the difference-set search that starts from {0, 1} without further cuts.
-Each one checks a faster or more specific routine of the package."""
+"""Reference implementations that only the tests call: the schoolbook
+convolution on Z_m, the Cayley definition of the graph, a subgroup of
+each order, the halved graphs of a bipartite graph, the coset-profile
+reconstruction of a DFT value and the difference-set search that starts
+from {0, 1} without further cuts.  Each one checks a faster or more
+specific routine of the package."""
 
 import cmath
 
@@ -11,6 +12,19 @@ from dicirculant.cayley import Graph, bit_members, bitset, graph_from_edges
 from dicirculant.group import generated_subgroup
 from dicirculant.search import ParameterContradictionError, check_ds_parameters
 from dicirculant.structure import all_pairs_distances, bipartition
+
+
+class ModulusMismatchError(ValueError):
+    pass
+
+
+def convolve(f, g):
+    """(f*g)(z) = sum_i f(i) g(z-i), exact over the integers."""
+    if len(f) != len(g):
+        raise ModulusMismatchError(f"{len(f)} != {len(g)}")
+    m = len(f)
+    return tuple(sum(f[i] * g[(z - i) % m] for i in range(m))
+                 for z in range(m))
 
 
 def definitional_graph(spec):

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from dicirculant import fourier, group
 from dicirculant.cayley import bit_members, build_graph, validate_spec
-from dicirculant.fourier import (InvalidDivisorError, ModulusMismatchError,
-                                 convolve, coset_profile, dft, dft_of_set,
-                                 indicator, is_transversal, unit_orbits)
+from dicirculant.fourier import (InvalidDivisorError, coset_profile, dft,
+                                 dft_of_set, indicator, is_transversal,
+                                 unit_orbits)
 from dicirculant.metrics import distance_partition, is_distance_regular
 from dicirculant.search import survey
-from oracles import profile_reconstruction, subgroup_of_order
+from oracles import (ModulusMismatchError, convolve, profile_reconstruction,
+                     subgroup_of_order)
 
 TOL = 1e-9
 
@@ -33,6 +34,22 @@ def float_fourier_lemma(spec, dp, array, tolerance=TOL):
         <= tolerance
         and abs(2 * r[z] * t[z] - array.lam * t[z] - mu * t2[z]) <= tolerance
         for z in range(m))
+
+
+def schoolbook_fourier_lemma(spec, dp, array):
+    """The spectral identities as schoolbook convolutions of indicator
+    tuples: the second oracle for the mask counts of the exact
+    check_fourier_lemma."""
+    m = 2 * spec.n
+    mu = array.mu if array.mu is not None else 0
+    shells = (dp.r_sets[2], dp.t_sets[2]) if dp.diameter >= 2 else ((), ())
+    r, t, r2, t2 = (indicator(A, m) for A in (spec.R, spec.T, *shells))
+    rr = convolve(r, r)
+    tt = convolve(t, indicator({-x for x in spec.T}, m))
+    rt = convolve(r, t)
+    return all(
+        rr[z] + tt[z] == (z == 0) * array.k + array.lam * r[z] + mu * r2[z]
+        and 2 * rt[z] == array.lam * t[z] + mu * t2[z] for z in range(m))
 
 
 class TestConvolution:
@@ -291,3 +308,39 @@ class TestExactFourierLemma:
         array = Params(spec.degree, lam, mu)
         assert fourier.check_fourier_lemma(spec, dp, array) \
             == float_fourier_lemma(spec, dp, array)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_verdicts_agree_on_planted_drgs(self, data):
+        # Dic_n \ H for a proper subgroup H = <a^d> or <a^d, a^j b> is
+        # complete multipartite, so distance-regular; moved by a random
+        # (u, v) automorphism its T is often not -T, which is where a
+        # T / -T mix-up in the counts shows.
+        n = data.draw(st.integers(1, 32), label="n")
+        m = 2 * n
+        dihedral = [d for d in range(2, n + 1) if n % d == 0]
+        if dihedral and data.draw(st.booleans(), label="H holds a^j b"):
+            d = data.draw(st.sampled_from(dihedral), label="d")
+            gens = [d, m + data.draw(st.integers(0, d - 1), label="j")]
+        else:
+            cyclic = [d for d in range(1, m + 1) if m % d == 0]
+            gens = [data.draw(st.sampled_from(cyclic), label="d") % m]
+        H = group.generated_subgroup(gens, n)
+        params = data.draw(st.sampled_from(group.automorphism_params(n)),
+                           label="(u, v)")
+        R, T = group.transform_sets(params, n,
+                                    {g for g in range(m) if g not in H},
+                                    {g - m for g in range(m, 2 * m)
+                                     if g not in H})
+        spec = validate_spec(n, R, T)
+        g = build_graph(spec)
+        arr = is_distance_regular(g, True)
+        dp = distance_partition(spec, g)
+        negatives = [Params(arr.k, arr.lam + e, arr.mu) for e in (-1, 1)]
+        if arr.d >= 2:
+            negatives += [Params(arr.k, arr.lam, arr.mu + e) for e in (-1, 1)]
+        for array in (arr, *negatives):
+            verdict = fourier.check_fourier_lemma(spec, dp, array)
+            assert verdict == float_fourier_lemma(spec, dp, array), array
+            assert verdict == schoolbook_fourier_lemma(spec, dp, array), array
+            assert verdict == (array is arr), array

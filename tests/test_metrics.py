@@ -75,6 +75,13 @@ class TestDistanceRegularity:
         with pytest.raises(DisconnectedGraphError):
             is_distance_regular(build_graph(validate_spec(2, {2}, set())))
 
+    @pytest.mark.parametrize("hint", [False, True])
+    @pytest.mark.parametrize("rows", [[], [0]], ids=["empty", "one-vertex"])
+    def test_edgeless_graph_raises(self, rows, hint):
+        with pytest.raises(DisconnectedGraphError,
+                           match="graph must have at least one edge"):
+            is_distance_regular(Graph(rows), hint)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_hint_agrees_with_full_check(self, n):
         for spec in all_valid_specs(n):

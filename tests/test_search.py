@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dicirculant import classifier, group, search, structure
-from dicirculant.cayley import (build_graph, canonicalize, generates_group,
-                                validate_spec)
+from dicirculant.cayley import (SpecValidationError, build_graph,
+                                canonicalize, generates_group, validate_spec)
 from dicirculant.classifier import cyclic_table
 from dicirculant.metrics import is_distance_regular
 from dicirculant.search import (ParameterContradictionError, enumerate_specs,
@@ -56,6 +56,10 @@ def orbit_representatives(n):
                 marked[r_table[r_mask] << n | t_table[t_mask]] = 1
     low = (1 << n) - 1
     return [(r_sets[index >> n], t_sets[index & low]) for index in sorted(reps)]
+
+
+def refuse_tables(*args, **kwargs):
+    raise AssertionError("built before n was checked")
 
 
 @functools.cache
@@ -176,6 +180,14 @@ class TestEnumeration:
         assert len(set(keys)) == 4 ** n
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_n_rejected(self, n, monkeypatch):
+        # the error comes before any table of pair unions is built
+        monkeypatch.setattr(search, "_pair_unions", refuse_tables)
+        with pytest.raises(SpecValidationError) as exc:
+            next(enumerate_specs(n))
+        assert exc.value.violations == ["NonPositiveN"]
+
 
 class TestSurvey:
     def test_n2_summary(self, surveys_upto_6):
@@ -295,6 +307,15 @@ class TestSurvey:
         assert sum(kept for _, kept in records) == len(report.drg_instances)
         assert [ref for ref, kept in records
                 if not kept and ref() is not None] == []
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_n_rejected(self, n, monkeypatch):
+        # enumerate_specs raises before any table is built or row is made
+        monkeypatch.setattr(search, "_pair_unions", refuse_tables)
+        monkeypatch.setattr(search, "evaluate_spec", refuse_tables)
+        with pytest.raises(SpecValidationError) as exc:
+            survey(n)
+        assert exc.value.violations == ["NonPositiveN"]
 
 
 def reference_search_difference_sets(table, v, k, lam, limit=None):
