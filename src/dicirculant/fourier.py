@@ -84,9 +84,10 @@ def check_fourier_lemma(spec, dp, array):
 
     Each convolution value is an intersection count:
     (1_A*1_B)(z) = #{i in A : z - i in B} = |A n (z - B)|, the popcount
-    of rot_A[0] & rot_-B[z], with rot_X[z] the mask of z + X.  So the
-    counts are rot_R[0] & rot_R[z] for 1_R*1_R (R = -R), rot_T[0] &
-    rot_T[z] for 1_T*1_-T and rot_R[0] & rot_-T[z] for 1_R*1_T.
+    of rot_A[0] & rot_-B[z], with rot_X[z] the mask of z + X.  As R = -R,
+    the counts are rot_R[0] & rot_R[z] for 1_R*1_R, rot_T[0] & rot_T[z]
+    for 1_T*1_-T and, with the factors swapped, rot_T[0] & rot_R[z] for
+    1_R*1_T = 1_T*1_R, so no rotation of -T is needed.
 
     For diameter 1 the distance-2 shells are empty and mu is taken as 0;
     the identities then degenerate to the complete-graph counting.
@@ -95,10 +96,9 @@ def check_fourier_lemma(spec, dp, array):
     mu = array.mu if array.mu is not None else 0
     R2, T2 = (dp.r_sets[2], dp.t_sets[2]) if dp.diameter >= 2 else ((), ())
     rot_r, rot_t = rotations(spec.R, m), rotations(spec.T, m)
-    rot_neg_t = rotations((-x % m for x in spec.T), m)
     r, t = rot_r[0], rot_t[0]
     return all(
         (r & rot_r[z]).bit_count() + (t & rot_t[z]).bit_count()
         == (z == 0) * array.k + array.lam * (z in spec.R) + mu * (z in R2)
-        and 2 * (r & rot_neg_t[z]).bit_count()
+        and 2 * (t & rot_r[z]).bit_count()
         == array.lam * (z in spec.T) + mu * (z in T2) for z in range(m))

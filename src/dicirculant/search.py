@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import cache, partial
 from itertools import chain, product
 from math import gcd, inf, isqrt
 
@@ -262,19 +263,16 @@ def survey(n, dedup=True):
 def survey_rows(n, dedup=True):
     """evaluate_spec on each spec of enumerate_specs(n, dedup), in key
     order, one row at a time; each graph is built from rotation lists
-    kept per shared R set and per shared T set."""
+    made once per R, T and -T set by memos local to the call."""
     m = 2 * n
-    r_rotations, t_rotations = {}, {}
+    rotations_of = cache(partial(rotations, m=m))
+    neg_rotations_of = cache(lambda T: rotations((-t % m for t in T), m))
     for spec in enumerate_specs(n, dedup):
         graph = None
         if spec.connected:
-            R, T = spec.R, spec.T
-            if R not in r_rotations:
-                r_rotations[R] = rotations(R, m)
-            if T not in t_rotations:
-                t_rotations[T] = (rotations(T, m),
-                                  rotations((-t % m for t in T), m))
-            graph = rotation_graph(m, r_rotations[R], *t_rotations[T])
+            graph = rotation_graph(m, rotations_of(spec.R),
+                                   rotations_of(spec.T),
+                                   neg_rotations_of(spec.T))
         yield evaluate_spec(spec, graph)
 
 
@@ -420,7 +418,7 @@ def _search(table, quot, v, k, lam, limit):
         return _least_translates(quot, complements)
     maps = _multiplier_maps(table, v, k, lam)
     if maps:
-        return _least_translates(quot, _orbit_unions(table, quot, k, lam, maps))[:limit]
+        return _least_translates(quot, _orbit_unions(quot, k, lam, maps))[:limit]
     quot_t = [list(col) for col in zip(*quot)]  # quot_t[y][x] = x y^-1
     cap = inf if limit is None else limit
     whole = (1 << v) - 1
@@ -552,7 +550,7 @@ def _power_map(table, t):
     return power
 
 
-def _orbit_unions(table, quot, k, lam, maps):
+def _orbit_unions(quot, k, lam, maps):
     """Every (v, k, lam) difference set that is a union of orbits of the
     group M generated by the permutations `maps`, that is every M-fixed
     set, as lists; a translate class can give more than one, and
@@ -561,7 +559,7 @@ def _orbit_unions(table, quot, k, lam, maps):
     a quotient is counted more than lam times, so a union that reaches k
     elements counts each quotient lam times."""
     orbits, seen = [], set()
-    for x in range(len(table)):
+    for x in range(len(quot)):
         if x not in seen:
             orbit, frontier = {x}, [x]
             while frontier:
@@ -572,7 +570,7 @@ def _orbit_unions(table, quot, k, lam, maps):
                         frontier.append(image)
             seen |= orbit
             orbits.append(sorted(orbit))
-    results, counts, chosen = [], [0] * len(table), []
+    results, counts, chosen = [], [0] * len(quot), []
 
     def extend(start):
         if len(chosen) == k:

@@ -1,14 +1,16 @@
 """Reference implementations that only the tests call: the schoolbook
 convolution on Z_m, the Cayley definition of the graph, a subgroup of
-each order, the halved graphs of a bipartite graph, the coset-profile
-reconstruction of a DFT value and the difference-set search that starts
-from {0, 1} without further cuts.  Each one checks a faster or more
-specific routine of the package."""
+each order, the complement of each proper subgroup class, the halved
+graphs of a bipartite graph, the coset-profile reconstruction of a DFT
+value and the difference-set search that starts from {0, 1} without
+further cuts.  Each one checks a faster or more specific routine of the
+package."""
 
 import cmath
 
 from dicirculant import classifier, group
-from dicirculant.cayley import Graph, bit_members, bitset, graph_from_edges
+from dicirculant.cayley import (Graph, bit_members, bitset, graph_from_edges,
+                                validate_spec)
 from dicirculant.group import generated_subgroup
 from dicirculant.search import ParameterContradictionError, check_ds_parameters
 from dicirculant.structure import all_pairs_distances, bipartition
@@ -52,6 +54,21 @@ def subgroup_of_order(n, m):
         return generated_subgroup([(2 * n) // m % (2 * n)], n)
     # m | 4n but m does not divide 2n forces 4 | m and (m/4) | n
     return generated_subgroup([n // (m // 4), 2 * n], n)
+
+
+def subgroup_complements(n):
+    """The spec of Dic_n minus H for each proper subgroup class H:
+    H = <a^d> for each d | 2n (d = 2n gives the trivial subgroup), then
+    H = <a^d, a^(d-1) b> for each d | n with d >= 2.  Each complement is
+    distance-regular; the survey's DRG classes are expected to be these,
+    one canonical form each."""
+    m = 2 * n
+    subgroups = [[d % m] for d in range(1, m + 1) if m % d == 0]
+    subgroups += [[d, m + d - 1] for d in range(2, n + 1) if n % d == 0]
+    for gens in subgroups:
+        H = generated_subgroup(gens, n)
+        yield validate_spec(n, [g for g in range(m) if g not in H],
+                            [g - m for g in range(m, 2 * m) if g not in H])
 
 
 class NotBipartiteError(ValueError):

@@ -16,7 +16,7 @@ from dicirculant.classifier import cyclic_table
 from dicirculant.metrics import is_distance_regular
 from dicirculant.search import (ParameterContradictionError, enumerate_specs,
                                 search_difference_sets, survey)
-from oracles import seeded_search_difference_sets
+from oracles import seeded_search_difference_sets, subgroup_complements
 
 
 def orbit_representatives(n):
@@ -227,6 +227,18 @@ class TestSurvey:
             assert inst.bipartite == (structure.bipartition(g) is not None)
             assert inst.antipodal == (structure.antipodal_classes(g, d) is not None)
             assert inst.primitive == structure.is_primitive(g, d)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_drg_set_is_the_subgroup_complements(self, n, surveys_upto_6):
+        # the theorem's list: Dic_n minus each proper subgroup class,
+        # tau(2n) + tau(n) - 1 of them, is the survey's whole DRG set
+        report = surveys_upto_6[n] if n <= 6 else survey(n)
+        predicted = sorted(canonicalize(spec).sorted_sets()
+                           for spec in subgroup_complements(n))
+        assert predicted == [inst.spec.sorted_sets()
+                             for inst in report.drg_instances]
+        tau = [sum(x % d == 0 for d in range(1, x + 1)) for x in (2 * n, n)]
+        assert len(predicted) == tau[0] + tau[1] - 1
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_witness_is_the_bfs_witness(self, n):
