@@ -185,19 +185,14 @@ def rotations(A, m):
 
 def build_graph(spec):
     """Adjacency from the neighbor formulas
-    N(a^i) = a^(i+R) u a^(i+T) b and N(a^i b) = a^(i-T) u a^(i+R) b."""
+    N(a^i) = a^(i+R) u a^(i+T) b and N(a^i b) = a^(i-T) u a^(i+R) b:
+    row a^i is the masks of R and T rotated by i, and row a^i b the
+    masks of -T and R."""
     m = 2 * spec.n
-    return rotation_graph(m, rotations(spec.R, m), rotations(spec.T, m),
-                          rotations((-x % m for x in spec.T), m))
-
-
-def rotation_graph(m, r, t, neg_t):
-    """The graph whose rows are rotations by i of three m-bit masks,
-    given as the rotation lists of R, T and -T: row a^i is
-    rot(R, i) | rot(T, i) << m and row a^i b is rot(-T, i) | rot(R, i) << m.
-    """
-    return Graph([ri | ti << m for ri, ti in zip(r, t)]
-                 + [si | ri << m for si, ri in zip(neg_t, r)])
+    r = rotations(spec.R, m)
+    return Graph([ri | ti << m for ri, ti in zip(r, rotations(spec.T, m))]
+                 + [si | ri << m for si, ri
+                    in zip(rotations((-x % m for x in spec.T), m), r)])
 
 
 def canonicalize(spec):

@@ -166,10 +166,11 @@ def classify(spec):
     if spec.degree == 4 * n - 1:
         return Classification(COMPLETE, (4 * n,),
                               ("degree |R|+|T| = 4n-1",))
-    if is_subgroup(n, set(range(2 * n)) - spec.R, set(range(2 * n)) - spec.T):
-        # a connected spec of degree < 4n-1 leaves a subgroup of order
-        # m >= 2 and index t >= 2
-        m = 4 * n - spec.degree
+    # a connected spec of degree < 4n-1 leaves a complement of order
+    # m >= 2, a subgroup of index t >= 2 only if m divides 4n (Lagrange)
+    m = 4 * n - spec.degree
+    if 4 * n % m == 0 and is_subgroup(n, set(range(2 * n)) - spec.R,
+                                      set(range(2 * n)) - spec.T):
         t = 4 * n // m
         return Classification(MULTIPARTITE, (t, m),
                               (f"complement is {t} disjoint K_{m}",))

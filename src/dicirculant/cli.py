@@ -31,10 +31,10 @@ EXIT_CROSS_CHECK = 1
 EXIT_USAGE = 2
 
 # survey(n) evaluates one spec per (u, v) class of 4^n and keeps no row;
-# on a 2-vCPU x86 VM, in a fresh process, n = 11 takes 2.9-3.6 s and
-# 20 MB, n = 12 14.7-14.8 s and 25 MB, and n = 13 30-32 s and 36 MB (16 s
-# on a faster day of the same VM); the enumeration's tables take most of
-# the memory.  n = 14 has about four times the specs of n = 13.
+# on a 2-vCPU x86 VM, in a fresh process, two runs each, n = 11 takes
+# 0.7-0.9 s and 20 MB, n = 12 3.8-4.8 s and 25 MB, and n = 13 6.5-8.2 s
+# and 35 MB; the enumeration's tables take most of the memory.  n = 14
+# has about four times the specs of n = 13.
 MAX_SURVEY_N = 13
 # --no-dedup evaluates all 4^n specs, and only CSV keeps their rows, as
 # text: n = 8 takes 4-5 s and 31 MB on the same VM, and n = 9 takes 16 s

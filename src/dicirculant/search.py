@@ -12,7 +12,7 @@ from math import gcd, inf, isqrt
 from . import classifier, fourier, group, structure
 from .cayley import (ConnectionSpec, SpecValidationError, build_graph,
                      difference_gcd, generates_group, is_subgroup,
-                     rotation_graph, rotations)
+                     rotations)
 from .classifier import classify
 from .metrics import (IntersectionArray, NotDRGWitness, distance_partition,
                       is_distance_regular)
@@ -215,12 +215,12 @@ def shell_flags(n, dp):
     return antipodal, primitive
 
 
-def evaluate_spec(spec, graph=None):
-    """BFS truth, classification, and structure flags for one spec.
-    `graph` is the spec's graph when the caller has built it already."""
+def evaluate_spec(spec):
+    """BFS truth, classification, and structure flags for one spec, on
+    the graph build_graph makes for it."""
     if not spec.connected:
         return SpecRow(spec, False)
-    g = build_graph(spec) if graph is None else graph
+    g = build_graph(spec)
     drg = is_distance_regular(g, vertex_transitive_hint=True)
     classification = classify(spec)
     if not isinstance(drg, IntersectionArray):
@@ -236,11 +236,12 @@ def evaluate_spec(spec, graph=None):
 
 
 def survey(n, dedup=True):
-    """Run enumerate -> build -> BFS DRG test -> classify -> structure
-    analysis -> Fourier check over every connected spec; record every
-    disagreement between the BFS truth and the classifier (there should
-    be none).  Each row is folded into the report as it arrives and then
-    dropped."""
+    """Run enumerate -> level-1 test -> build -> BFS DRG test ->
+    classify -> structure analysis -> Fourier check over every connected
+    spec, the build and what follows it only where level 1 is uniform;
+    record every disagreement between the BFS truth and the classifier
+    (there should be none).  Each row is folded into the report as it
+    arrives and then dropped."""
     report = SurveyReport(n=n, total_specs=4 ** n)
     for row in survey_rows(n, dedup):
         report.canonical_classes += 1
@@ -261,19 +262,46 @@ def survey(n, dedup=True):
 
 
 def survey_rows(n, dedup=True):
-    """evaluate_spec on each spec of enumerate_specs(n, dedup), in key
-    order, one row at a time; each graph is built from rotation lists
-    made once per R, T and -T set by memos local to the call."""
-    m = 2 * n
-    rotations_of = cache(partial(rotations, m=m))
-    neg_rotations_of = cache(lambda T: rotations((-t % m for t in T), m))
+    """The row of evaluate_spec for each spec of enumerate_specs(n,
+    dedup), in key order, one row at a time.  A connected spec whose
+    level 1 is not uniform gets its row from _level_one_witness, and
+    builds no graph; every other spec goes to evaluate_spec.  The
+    rotation lists of each R and T set are made once, by a memo local to
+    the call."""
+    rotations_of = cache(partial(rotations, m=2 * n))
     for spec in enumerate_specs(n, dedup):
-        graph = None
-        if spec.connected:
-            graph = rotation_graph(m, rotations_of(spec.R),
-                                   rotations_of(spec.T),
-                                   neg_rotations_of(spec.T))
-        yield evaluate_spec(spec, graph)
+        witness = spec.connected and _level_one_witness(
+            spec, rotations_of(spec.R), rotations_of(spec.T))
+        yield (SpecRow(spec, False, None, classify(spec), witness=witness)
+               if witness else evaluate_spec(spec))
+
+
+def _level_one_witness(spec, rot_r, rot_t):
+    """The NotDRGWitness that is_distance_regular gives for the
+    connected `spec` when two vertices at distance 1 from the identity
+    have unequal (c, a, b), else None.  rot_r and rot_t are the rotation
+    lists of R and T, rot[x] the mask of x + R or x + T.
+
+    In a Cayley graph of degree k a vertex at distance 1 has c = 1 and
+    b = k - 1 - a, where a counts its common neighbours with the
+    identity: |R n (x + R)| + |T n (x + T)| for a^x, x in R, and
+    |R n (x - T)| + |T n (x + R)| = 2|T n (x + R)| for a^x b, x in T,
+    as R = -R.  The BFS meets level 1 in vertex order, R ascending and
+    then 2n + T ascending, and its witness is the first vertex whose
+    triple differs from the first vertex's."""
+    m = 2 * spec.n
+    r_mask, t_mask = rot_r[0], rot_t[0]
+    level = chain(((x, (rot_r[x] & r_mask).bit_count()
+                    + (rot_t[x] & t_mask).bit_count()) for x in sorted(spec.R)),
+                  ((m + x, 2 * (rot_r[x] & t_mask).bit_count())
+                   for x in sorted(spec.T)))
+    _, first = next(level)
+    for v, a in level:
+        if a != first:
+            k = spec.degree
+            return NotDRGWitness(0, v, 1, (1, first, k - 1 - first),
+                                 (1, a, k - 1 - a))
+    return None
 
 
 def check_ds_parameters(v, k, lam):

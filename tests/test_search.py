@@ -253,11 +253,14 @@ class TestSurvey:
                 assert row.witness is None
         assert connected_non_drg > 0 or n == 1
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_rows_equal_evaluate_spec_without_graph(self, n):
-        # the survey's graphs come from rotation lists it shares between
-        # specs; evaluate_spec(spec) builds its own with build_graph
-        rows = list(search.survey_rows(n))
+    @pytest.mark.parametrize(
+        "n, dedup", [pytest.param(n, True, id=str(n)) for n in range(1, 10)]
+        + [pytest.param(n, False, id=f"{n}-no-dedup") for n in range(1, 7)])
+    def test_rows_equal_evaluate_spec_without_graph(self, n, dedup):
+        # the survey decides most rows at level 1 from rotation lists it
+        # shares between specs; evaluate_spec(spec) builds the graph and
+        # runs the full BFS on every spec
+        rows = list(search.survey_rows(n, dedup))
         assert [row.spec.sorted_sets() for row in rows] \
             == sorted(row.spec.sorted_sets() for row in rows)
         for row in rows:
@@ -304,15 +307,15 @@ class TestSurvey:
     def test_rows_are_dropped(self, monkeypatch):
         # the survey folds each row into its report: only what a DRG
         # instance or a failure record holds may outlive the row
-        evaluate, records = search.evaluate_spec, []
+        rows_of, records = search.survey_rows, []
 
-        def recording(spec, graph=None):
-            row = evaluate(spec, graph)
-            records.append((weakref.ref(row),
-                            row.drg or row.cross_check_failed))
-            return row
+        def recording(n, dedup=True):
+            for row in rows_of(n, dedup):
+                records.append((weakref.ref(row),
+                                row.drg or row.cross_check_failed))
+                yield row
 
-        monkeypatch.setattr(search, "evaluate_spec", recording)
+        monkeypatch.setattr(search, "survey_rows", recording)
         report = survey(5)
         gc.collect()
         assert len(records) == report.canonical_classes
