@@ -356,7 +356,7 @@ def search_difference_sets(table, v, k, lam, limit=None):
     2-groups", J. Combin. Theory Ser. A 63 (1993)) showed that every
     abelian group within the bound holds one.
 
-    Four cuts shrink the search.  Each one drops only branches that
+    Five cuts shrink the search.  Each one drops only branches that
     hold no result, so the results, under `limit` too, are those of the
     search without them.
 
@@ -392,6 +392,39 @@ def search_difference_sets(table, v, k, lam, limit=None):
     When every x -> x^t fixes every element, the orbits are single
     elements and the search would lose the partial canonicity cut, so
     it stays on the element search.
+
+    Quotient.  A full search on a table with no multiplier map works on
+    the cosets of N = <g>, a normal subgroup of least prime order
+    c < v, and g the least element of order c that generates a normal
+    subgroup; a table with no such N keeps the element search.
+    A normal cyclic subgroup holds a normal subgroup of prime order, its
+    only one of that order, so N is a smallest normal cyclic subgroup:
+    the most cosets with the fewest elements each.  Mapping
+    DD^-1 = n + lam G onto G/N (E. S. Lander, Symmetric Designs, ch. 4;
+    L. D. Baumert, Cyclic Difference Sets, LNM 182 (1971)) gives the
+    counts x_b = |D n Nb| on the m = v/c cosets: sum x_b = k,
+    sum x_b^2 = n + lam c, and sum_b x_hb x_b = lam c for every coset
+    h != N, hb taken in G/N, which need not be abelian.  Right
+    translation by z maps D n Nb onto Dz n Nbz, so it permutes the
+    counts, and every translate class has a member whose largest count
+    is on N; the image search keeps only count vectors with x_N
+    largest.  It fills the cosets in order; with r cosets left, whose
+    counts sum to s and their squares to q, each count is at most
+    top = x_N, so s <= top r, q <= top s (x^2 <= top x) and
+    s^2 <= r q (Cauchy-Schwarz), and a partial sum over b above lam c
+    only grows.  Right translation by y in N keeps every coset
+    (Nby = Nb, N being normal), so it keeps the counts; for d in
+    D n Nb and e the least element of Nb, d^-1 e is in N, and Dd^-1 e
+    holds e.  So every class has a member whose counts are an image,
+    x_N largest, and that holds the least element of the first coset
+    the lift fills in part, as the order of the cosets in the lift
+    depends only on the counts.
+    The lift chooses the cosets' elements in order of decreasing count,
+    the full cosets first, with every difference count at most lam; a
+    lift of k elements therefore counts each quotient lam times, as
+    below.  _least_translates keeps one least translate per class.  A
+    limited search keeps the element search, which finds its sets in
+    order.
 
     Forward checking.  A quotient s = xy^-1, x and y chosen, is
     saturated once lam pairs give it; counts only grow deeper in the
@@ -437,9 +470,9 @@ def search_difference_sets(table, v, k, lam, limit=None):
 def _search(table, quot, v, k, lam, limit):
     """search_difference_sets on a table it has checked, with
     2 <= k <= v - 2 and limit None or positive: the complement step,
-    then the orbit search or the element search.  The complement
-    parameters pass the same checks and exits, as they keep v and
-    n = k - lam, and satisfy 2 <= v - k <= v - 2."""
+    then the orbit search, the quotient search or the element search.
+    The complement parameters pass the same checks and exits, as they
+    keep v and n = k - lam, and satisfy 2 <= v - k <= v - 2."""
     if limit is None and k < v < 2 * k:
         complements = ([x for x in range(v) if x not in C]
                        for C in _search(table, quot, v, v - k, v - 2 * k + lam, None))
@@ -447,6 +480,10 @@ def _search(table, quot, v, k, lam, limit):
     maps = _multiplier_maps(table, v, k, lam)
     if maps:
         return _least_translates(quot, _orbit_unions(quot, k, lam, maps))[:limit]
+    if limit is None:
+        normal = _least_normal_subgroup(table, quot)
+        if normal:
+            return _least_translates(quot, _quotient_lifts(table, quot, k, lam, normal))
     quot_t = [list(col) for col in zip(*quot)]  # quot_t[y][x] = x y^-1
     cap = inf if limit is None else limit
     whole = (1 << v) - 1
@@ -623,6 +660,143 @@ def _orbit_unions(quot, k, lam, maps):
 
     extend(0)
     return results
+
+
+def _least_normal_subgroup(table, quot):
+    """The elements of N = <g> in order of the powers of g, where the
+    order c of g is the least prime below v for which some element of
+    order c generates a normal subgroup, and g is the least such
+    element; None if no prime qualifies.  <g> is normal when every
+    conjugate x g x^-1 is a power of g."""
+    v = len(table)
+    for c in _prime_factors(v):
+        if c == v:
+            break
+        for g in range(1, v):
+            powers = [0, g]
+            while len(powers) < c:
+                powers.append(table[powers[-1]][g])
+            if (table[powers[-1]][g] == 0
+                    and all(quot[table[x][g]][x] in powers for x in range(v))):
+                return powers
+    return None
+
+
+def _quotient_lifts(table, quot, k, lam, normal):
+    """Every (v, k, lam) set D whose counts on the cosets of the normal
+    subgroup `normal` are an image of _coset_images and that holds the
+    least element of the first coset it meets in part, as lists: the
+    lifts of the quotient cut of search_difference_sets, at least one
+    member of every translate class.  The cosets of each image are
+    filled in order of decreasing count, each by increasing
+    combinations of its elements, and a branch stops once a quotient is
+    counted more than lam times."""
+    c = len(normal)
+    cosets, coset_quot = _cosets(table, quot, normal)
+    lifts, counts, chosen = [], [0] * len(table), []
+
+    def fill(plan, pin, i, start, need):
+        """Extend chosen by `need` elements of plan[i]'s coset from
+        position start on, then by every later coset of the plan; the
+        pinned coset's first element is its least."""
+        if not need:
+            i += 1
+            if i == len(plan):
+                lifts.append(list(chosen))
+                return
+            start, need = 0, plan[i][1]
+        members = plan[i][0]
+        stop = 1 if i == pin and not start else len(members) - need + 1
+        for j in range(start, stop):
+            y = members[j]
+            deltas = [quot[y][d] for d in chosen] + [quot[d][y] for d in chosen]
+            for s in deltas:
+                counts[s] += 1
+            if all(counts[s] <= lam for s in deltas):
+                chosen.append(y)
+                fill(plan, pin, i, j + 1, need - 1)
+                chosen.pop()
+            for s in deltas:
+                counts[s] -= 1
+
+    for image in _coset_images(coset_quot, c, k, lam):
+        plan = sorted(((C, x) for C, x in zip(cosets, image) if x),
+                      key=lambda part: -part[1])
+        pin = next((i for i, (_, x) in enumerate(plan) if x < c), None)
+        fill(plan, pin, 0, 0, plan[0][1])
+    return lifts
+
+
+def _cosets(table, quot, normal):
+    """The cosets of the normal subgroup `normal`, each sorted, in order
+    of their least elements (so coset 0 is the subgroup), and the
+    quotient table of G/N on their indices: coset_quot[a][b] is the
+    coset of xy^-1 for x in coset a and y in coset b."""
+    coset_of, cosets = [None] * len(table), []
+    for x in range(len(table)):
+        if coset_of[x] is None:
+            members = sorted(table[y][x] for y in normal)
+            for y in members:
+                coset_of[y] = len(cosets)
+            cosets.append(members)
+    return cosets, [[coset_of[quot[a[0]][b[0]]] for b in cosets] for a in cosets]
+
+
+def _coset_images(coset_quot, c, k, lam):
+    """Every count vector x on the cosets of a normal subgroup of order
+    c that the quotient cut of search_difference_sets admits, lam >= 1,
+    with x_N (coset 0) largest: sum x = k, sum x^2 = n + lam c and
+    sum_b x_hb x_b = lam c for every coset h != 0, where
+    coset_quot[a][b] is the coset ab^-1 of the quotient group.  The
+    cosets are filled in order, each count from top = x_0 down to 0,
+    and a branch stops when the remaining sum s and sum of squares q of
+    the r unfilled cosets break s <= top r, q <= top s or s^2 <= r q,
+    or a partial sum over b exceeds lam c."""
+    m, target = len(coset_quot), lam * c
+    cols = [list(col) for col in zip(*coset_quot)]
+    sums, x, placed, images = [0] * m, [0] * m, [], []
+
+    def fill(i, rest, squares, top):
+        if i == m:
+            if sums.count(target) == m - 1:
+                images.append(tuple(x))
+            return
+        left = m - i - 1
+        row, col = coset_quot[i], cols[i]
+        for xi in range(min(top, rest), -1, -1):
+            s, q = rest - xi, squares - xi * xi
+            if q < 0 or s > top * left or q > top * s or s * s > left * q:
+                continue
+            if not xi:
+                fill(i + 1, s, q, top)
+                continue
+            added = 0
+            for b, xb in placed:
+                p = xi * xb
+                h, h_inv = row[b], col[b]
+                sums[h] += p
+                sums[h_inv] += p
+                added += 1
+                if sums[h] > target or sums[h_inv] > target:
+                    break
+            else:
+                x[i] = xi
+                placed.append((i, xi))
+                fill(i + 1, s, q, top)
+                placed.pop()
+                x[i] = 0
+            for b, xb in placed[:added]:
+                sums[row[b]] -= xi * xb
+                sums[col[b]] -= xi * xb
+
+    squares = k - lam + target
+    for top in range(min(c, k), 0, -1):
+        if top * top <= squares:
+            x[0] = top
+            placed.append((0, top))
+            fill(1, k - top, squares - top * top, top)
+            placed.pop()
+    return images
 
 
 def _beaten(prefix, translates):

@@ -381,7 +381,12 @@ def reference_search_difference_sets(table, v, k, lam, limit=None):
 def relabelled(table, rng):
     """The same group under a random relabelling that keeps 0 the identity."""
     v = len(table)
-    new_of = [0] + rng.sample(range(1, v), v - 1)
+    return relabelled_by(table, [0] + rng.sample(range(1, v), v - 1))
+
+
+def relabelled_by(table, new_of):
+    """The same group with each element x renamed new_of[x]."""
+    v = len(table)
     out = [[0] * v for _ in range(v)]
     for i in range(v):
         for j in range(v):
@@ -687,3 +692,169 @@ class TestMultiplierPath:
         from sympy import primefactors
         for n in range(1, 3000):
             assert search._prime_factors(n) == primefactors(n)
+
+
+def refuse_quotient_search(*args, **kwargs):
+    raise AssertionError("took the quotient path")
+
+
+def quotient_spy(monkeypatch):
+    """Wrap search._quotient_lifts; the returned list gets the order of
+    the normal subgroup of each call."""
+    calls = []
+    lifts = search._quotient_lifts
+
+    def spy(table, quot, k, lam, normal):
+        calls.append(len(normal))
+        return lifts(table, quot, k, lam, normal)
+
+    monkeypatch.setattr(search, "_quotient_lifts", spy)
+    return calls
+
+
+def quotient_table(table):
+    """quot[x][y] = x y^-1, as search_difference_sets makes it."""
+    inv = classifier.inverses(table)
+    return [[row[j] for j in inv] for row in table]
+
+
+def powers_of(table, g):
+    """<g> in order of the powers of g."""
+    powers = [0]
+    while (x := table[powers[-1]][g]) != 0:
+        powers.append(x)
+    return powers
+
+
+def symmetric_group_3():
+    """The table of S_3, its permutations numbered in lexicographic
+    order, so 0 is the identity."""
+    perms = list(itertools.permutations(range(3)))
+    return [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms]
+            for p in perms]
+
+
+def brute_force_images(coset_quot, c, k, lam):
+    """Oracle for search._coset_images: every vector of {0..c}^m with
+    its largest count on coset 0, filtered by sum x = k,
+    sum x^2 = k - lam + lam c and sum_b x_hb x_b = lam c for h != 0."""
+    m = len(coset_quot)
+    images = []
+    for x in itertools.product(range(c + 1), repeat=m):
+        if x[0] != max(x) or sum(x) != k or sum(t * t for t in x) != k - lam + lam * c:
+            continue
+        sums = [0] * m
+        for a in range(m):
+            for b in range(m):
+                sums[coset_quot[a][b]] += x[a] * x[b]
+        if all(s == lam * c for s in sums[1:]):
+            images.append(x)
+    return images
+
+
+DIC4 = group.multiplication_table(4)[0]
+
+# group, generator of N, v and the (k, lam) tried; the quotients have
+# m <= 8 cosets, and Dic4 / <a^4> is the dihedral group of order 8
+QUOTIENTS = {
+    "Dic4/<a^4>": (DIC4, 4, [(6, 2), (10, 6), (5, 1), (7, 3)]),
+    "Dic4/<a^2>": (DIC4, 2, [(6, 2), (10, 6)]),
+    "Dic4/<a>": (DIC4, 1, [(6, 2), (10, 6)]),
+    "Z16/<8>": (cyclic_table(16), 8, [(6, 2), (10, 6)]),
+    "Z2^4/<1>": (abelian_table(2, 2, 2, 2), 1, [(6, 2), (10, 6)]),
+    "Z4xZ4/<4>": (abelian_table(4, 4), 4, [(6, 2), (10, 6)]),
+    "Z15/<5>": (cyclic_table(15), 5, [(7, 3), (8, 4)]),
+    "Z15/<3>": (cyclic_table(15), 3, [(7, 3), (8, 4)]),
+    "Z21/<7>": (cyclic_table(21), 7, [(5, 1), (16, 12)]),
+    "S3/A3": (symmetric_group_3(), 3, [(5, 4), (2, 1)]),
+}
+
+
+class TestQuotientPath:
+    def test_matches_seeded_search_on_oracle_cases(self, monkeypatch):
+        calls = quotient_spy(monkeypatch)
+        taken = []
+        for label, table, v, k, lam in oracle_cases(max_v=20, max_n=5):
+            before = len(calls)
+            found = search_difference_sets(table, v, k, lam)
+            if len(calls) > before:
+                taken.append((label, v, k, lam))
+                assert found == seeded_search_difference_sets(table, v, k, lam)
+        assert taken == [("Dic4", 16, 6, 2), ("Dic4", 16, 10, 6),
+                         ("Dic4r", 16, 6, 2), ("Dic4r", 16, 10, 6)]
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["natural", "relabelled"])
+    @pytest.mark.parametrize("k, lam", [(6, 2), (10, 6)])
+    @pytest.mark.parametrize("name", ["Z2^4", "Z4xZ4", "Z8xZ2", "Z4xZ2^2", "Dic4"])
+    def test_order_16_matches_seeded_search(self, monkeypatch, name, k, lam, relabel):
+        table = DIC4 if name == "Dic4" else abelian_table(*ABELIAN_16[name])
+        if relabel:
+            table = relabelled(table, random.Random(16))
+        calls = quotient_spy(monkeypatch)
+        assert search_difference_sets(table, 16, k, lam) \
+            == seeded_search_difference_sets(table, 16, k, lam)
+        assert calls == [2]
+
+    def test_dic4_takes_the_path_only_in_full(self, monkeypatch):
+        calls = quotient_spy(monkeypatch)
+        everything = search_difference_sets(DIC4, 16, 6, 2)
+        assert calls == [2]
+        monkeypatch.setattr(search, "_quotient_lifts", refuse_quotient_search)
+        assert search_difference_sets(DIC4, 16, 6, 2, limit=1) == everything[:1]
+
+    @pytest.mark.parametrize("table, v, k, lam, g", [
+        (DIC4, 16, 6, 2, 2), (DIC4, 16, 10, 6, 1), (cyclic_table(45), 45, 12, 3, 9),
+        (abelian_table(3, 3, 3), 27, 13, 6, 1), (abelian_table(4, 4), 16, 6, 2, 1),
+    ], ids=["Dic4/<a^2>", "Dic4/<a>", "Z45/<9>", "Z3^3/<1>", "Z4xZ4/<1>"])
+    def test_every_normal_subgroup_gives_the_same_classes(self, table, v, k, lam, g):
+        quot = quotient_table(table)
+        lifts = search._quotient_lifts(table, quot, k, lam, powers_of(table, g))
+        assert search._least_translates(quot, lifts) \
+            == search_difference_sets(table, v, k, lam)
+
+    def test_cyclic_45_12_3_has_no_set(self, monkeypatch):
+        # gcd(k, v) = 3, so no multiplier map; no image on Z_45 / <15>
+        # lifts to a difference set.  The element search ran without bound
+        calls = quotient_spy(monkeypatch)
+        assert search_difference_sets(cyclic_table(45), 45, 12, 3) == []
+        assert calls == [3]
+
+    @pytest.mark.parametrize("table, normal", [
+        (DIC4, [0, 4]), (group.multiplication_table(2)[0], [0, 2]),
+        (group.multiplication_table(9)[0], [0, 9]),
+        (cyclic_table(45), [0, 15, 30]), (abelian_table(3, 3, 3), [0, 1, 2]),
+        (symmetric_group_3(), [0, 3, 4]), (cyclic_table(7), None)],
+        ids=["Dic4", "Dic2", "Dic9", "Z45", "Z3^3", "S3", "Z7"])
+    def test_least_normal_subgroup(self, table, normal):
+        # a^n, of order 2, spans the centre of Dic_n; in S_3 no subgroup
+        # of order 2 is normal; Z_7 has no proper subgroup
+        assert search._least_normal_subgroup(table, quotient_table(table)) == normal
+
+    def test_least_normal_subgroup_in_any_labels(self):
+        # the centre {1, a^4} of Dic4, whatever its labels
+        table = relabelled(DIC4, random.Random(4))
+        found = search._least_normal_subgroup(table, quotient_table(table))
+        assert len(found) == 2
+        assert all(table[x][y] == table[y][x] for x in found for y in range(16))
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["natural", "relabelled"])
+    @pytest.mark.parametrize("name", QUOTIENTS)
+    def test_coset_images_match_brute_force(self, name, relabel):
+        table, g, params = QUOTIENTS[name]
+        if relabel:
+            rng = random.Random(len(table))
+            new_of = [0] + rng.sample(range(1, len(table)), len(table) - 1)
+            table, g = relabelled_by(table, new_of), new_of[g]
+        normal, quot = powers_of(table, g), quotient_table(table)
+        cosets, coset_quot = search._cosets(table, quot, normal)
+        assert cosets[0] == sorted(normal)
+        for a, b in itertools.product(range(len(cosets)), repeat=2):
+            assert {quot[x][y] for x in cosets[a] for y in cosets[b]} \
+                == set(cosets[coset_quot[a][b]])
+        seen = 0
+        for k, lam in params:
+            expected = brute_force_images(coset_quot, len(normal), k, lam)
+            assert sorted(search._coset_images(coset_quot, len(normal), k, lam)) \
+                == expected
+            seen += len(expected)
+        assert seen > 0
