@@ -7,7 +7,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import chain, product
-from math import gcd, inf, isqrt
+from math import gcd, isqrt
 
 from . import classifier, fourier, group, structure
 from .cayley import (ConnectionSpec, SpecValidationError, build_graph,
@@ -325,7 +325,8 @@ def search_difference_sets(table, v, k, lam, limit=None):
     """All (v, k, lam) difference sets in the group given by `table`,
     up to right translation: only sets whose sorted index tuple is
     minimal among all right-translates Dg are returned, in increasing
-    order of that tuple, the first `limit` of them when it is given.
+    order of that tuple.  `limit` takes a prefix of that full sorted
+    answer; it never changes which search runs, nor shortens it.
     Backtracking over k-subsets, each built in increasing order, with
     partial difference-count pruning.
 
@@ -357,16 +358,14 @@ def search_difference_sets(table, v, k, lam, limit=None):
     abelian group within the bound holds one.
 
     Five cuts shrink the search.  Each one drops only branches that
-    hold no result, so the results, under `limit` too, are those of the
-    search without them.
+    hold no result, so the results are those of the search without
+    them.
 
     Complement.  (G - C)g = G - Cg, so the translate classes of the
     (v, k, lam) sets and of their complements, the (v, v - k,
-    v - 2k + lam) sets, correspond one to one.  A full search with
+    v - 2k + lam) sets, correspond one to one.  A search with
     k < v < 2k searches the complement parameters instead and returns
-    the least translate of each found set's complement, sorted.  A
-    limited search stays direct, since the complement side would have
-    to run in full to tell which sets come first.
+    the least translate of each found set's complement, sorted.
 
     Multiplier.  The Second Multiplier Theorem (E. S. Lander, Symmetric
     Designs: An Algebraic Approach, Cambridge University Press (1983);
@@ -393,9 +392,9 @@ def search_difference_sets(table, v, k, lam, limit=None):
     elements and the search would lose the partial canonicity cut, so
     it stays on the element search.
 
-    Quotient.  A full search on a table with no multiplier map works on
-    the cosets of N = <g>, a normal subgroup of least prime order
-    c < v, and g the least element of order c that generates a normal
+    Quotient.  A search on a table with no multiplier map works on the
+    cosets of N = <g>, a normal subgroup of least prime order c < v,
+    and g the least element of order c that generates a normal
     subgroup; a table with no such N keeps the element search.
     A normal cyclic subgroup holds a normal subgroup of prime order, its
     only one of that order, so N is a smallest normal cyclic subgroup:
@@ -422,9 +421,7 @@ def search_difference_sets(table, v, k, lam, limit=None):
     The lift chooses the cosets' elements in order of decreasing count,
     the full cosets first, with every difference count at most lam; a
     lift of k elements therefore counts each quotient lam times, as
-    below.  _least_translates keeps one least translate per class.  A
-    limited search keeps the element search, which finds its sets in
-    order.
+    below.  _least_translates keeps one least translate per class.
 
     Forward checking.  A quotient s = xy^-1, x and y chosen, is
     saturated once lam pairs give it; counts only grow deeper in the
@@ -464,28 +461,26 @@ def search_difference_sets(table, v, k, lam, limit=None):
             return []
     inv = classifier.inverses(table)
     quot = [[row[j] for j in inv] for row in table]  # quot[x][y] = x y^-1
-    return _search(table, quot, v, k, lam, limit)
+    return _search(table, quot, v, k, lam)[:limit]
 
 
-def _search(table, quot, v, k, lam, limit):
-    """search_difference_sets on a table it has checked, with
-    2 <= k <= v - 2 and limit None or positive: the complement step,
-    then the orbit search, the quotient search or the element search.
-    The complement parameters pass the same checks and exits, as they
-    keep v and n = k - lam, and satisfy 2 <= v - k <= v - 2."""
-    if limit is None and k < v < 2 * k:
+def _search(table, quot, v, k, lam):
+    """The full sorted answer of search_difference_sets, on a table it
+    has checked, with 2 <= k <= v - 2: the complement step, then the
+    orbit search, the quotient search or the element search.  The
+    complement parameters pass the same checks and exits, as they keep
+    v and n = k - lam, and satisfy 2 <= v - k <= v - 2."""
+    if k < v < 2 * k:
         complements = ([x for x in range(v) if x not in C]
-                       for C in _search(table, quot, v, v - k, v - 2 * k + lam, None))
+                       for C in _search(table, quot, v, v - k, v - 2 * k + lam))
         return _least_translates(quot, complements)
     maps = _multiplier_maps(table, v, k, lam)
     if maps:
-        return _least_translates(quot, _orbit_unions(quot, k, lam, maps))[:limit]
-    if limit is None:
-        normal = _least_normal_subgroup(table, quot)
-        if normal:
-            return _least_translates(quot, _quotient_lifts(table, quot, k, lam, normal))
+        return _least_translates(quot, _orbit_unions(quot, k, lam, maps))
+    normal = _least_normal_subgroup(table, quot)
+    if normal:
+        return _least_translates(quot, _quotient_lifts(table, quot, k, lam, normal))
     quot_t = [list(col) for col in zip(*quot)]  # quot_t[y][x] = x y^-1
-    cap = inf if limit is None else limit
     whole = (1 << v) - 1
     results, counts, chosen, saturated = [], [0] * v, [0], []
 
@@ -520,7 +515,7 @@ def _search(table, quot, v, k, lam, limit):
                 else:
                     free = whole & -(top << 1) & ~blocked  # unblocked, above nxt
                     avail = free.bit_count()
-                    while avail >= need and len(results) < cap:
+                    while avail >= need:
                         low = free & -free
                         add(low.bit_length() - 1, prefix, blocked, translates)
                         free ^= low

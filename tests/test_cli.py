@@ -397,6 +397,15 @@ class TestSearchDS:
         assert code == EXIT_OK
         assert json.loads(out)["difference_sets"] == [list(range(int(k)))]
 
+    def test_limit_keeps_the_quotient_path(self, capsys):
+        # Dic_14 has no multiplier map; the cosets of its centre show
+        # that no (56, 11, 2) set exists, and --limit keeps that path
+        code, out, _ = run(capsys, "search-ds", "--group", "dicyclic",
+                           "--order", "56", "--k", "11", "--lam", "2",
+                           "--limit", "1", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["difference_sets"] == []
+
     def test_dicyclic_order_must_be_multiple_of_four(self, capsys):
         code, _, err = run(capsys, "search-ds", "--group", "dicyclic",
                            "--order", "6", "--k", "3", "--lam", "1")

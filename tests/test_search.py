@@ -450,8 +450,7 @@ class TestDifferenceSetSearch:
                 == [frozenset(range(v))]
 
     def test_fano_complement_classes(self):
-        # v = 2k - 1: the full search runs on the complements, the
-        # limited one directly
+        # v = 2k - 1: the search runs on the complements, limited or not
         table = cyclic_table(7)
         assert search_difference_sets(table, 7, 4, 2) \
             == [frozenset({0, 1, 2, 4}), frozenset({0, 1, 2, 5})]
@@ -511,7 +510,7 @@ class TestDifferenceSetSearch:
                 == everything[:j]
 
     def test_limit_respected_when_2k_exceeds_v(self):
-        # the full search runs on the complements, a limited one directly
+        # the search runs on the complements, limited or not
         table, _ = group.multiplication_table(4)
         everything = search_difference_sets(table, 16, 10, 6)
         assert len(everything) > 5
@@ -628,8 +627,9 @@ class TestMultiplierPath:
             == seeded_search_difference_sets(table, 27, 13, 6)
 
     @pytest.mark.parametrize("limit", [1, 2])
-    def test_z3_cubed_stays_on_element_search(self, monkeypatch, limit):
-        # 7 = 1 mod 3, so x -> x^7 fixes every element of Z_3^3
+    def test_z3_cubed_refuses_the_orbit_search(self, monkeypatch, limit):
+        # 7 = 1 mod 3, so x -> x^7 fixes every element of Z_3^3 and no
+        # orbit search runs; the quotient search on Z_3^3 / <1> does
         table = abelian_table(3, 3, 3)
         monkeypatch.setattr(search, "_orbit_unions", refuse_orbit_search)
         assert search_difference_sets(table, 27, 13, 6, limit) \
@@ -692,10 +692,6 @@ class TestMultiplierPath:
         from sympy import primefactors
         for n in range(1, 3000):
             assert search._prime_factors(n) == primefactors(n)
-
-
-def refuse_quotient_search(*args, **kwargs):
-    raise AssertionError("took the quotient path")
 
 
 def quotient_spy(monkeypatch):
@@ -795,12 +791,11 @@ class TestQuotientPath:
             == seeded_search_difference_sets(table, 16, k, lam)
         assert calls == [2]
 
-    def test_dic4_takes_the_path_only_in_full(self, monkeypatch):
-        calls = quotient_spy(monkeypatch)
+    def test_dic4_takes_the_path_under_a_limit(self, monkeypatch):
         everything = search_difference_sets(DIC4, 16, 6, 2)
-        assert calls == [2]
-        monkeypatch.setattr(search, "_quotient_lifts", refuse_quotient_search)
+        calls = quotient_spy(monkeypatch)
         assert search_difference_sets(DIC4, 16, 6, 2, limit=1) == everything[:1]
+        assert calls == [2]
 
     @pytest.mark.parametrize("table, v, k, lam, g", [
         (DIC4, 16, 6, 2, 2), (DIC4, 16, 10, 6, 1), (cyclic_table(45), 45, 12, 3, 9),
@@ -814,10 +809,13 @@ class TestQuotientPath:
 
     def test_cyclic_45_12_3_has_no_set(self, monkeypatch):
         # gcd(k, v) = 3, so no multiplier map; no image on Z_45 / <15>
-        # lifts to a difference set.  The element search ran without bound
+        # lifts to a difference set.  The element search ran without
+        # bound; a limit keeps the quotient path
         calls = quotient_spy(monkeypatch)
-        assert search_difference_sets(cyclic_table(45), 45, 12, 3) == []
-        assert calls == [3]
+        for limit in (None, 1):
+            calls.clear()
+            assert search_difference_sets(cyclic_table(45), 45, 12, 3, limit) == []
+            assert calls == [3]
 
     @pytest.mark.parametrize("table, normal", [
         (DIC4, [0, 4]), (group.multiplication_table(2)[0], [0, 2]),
@@ -858,3 +856,48 @@ class TestQuotientPath:
                 == expected
             seen += len(expected)
         assert seen > 0
+
+
+def element_search_spy(monkeypatch):
+    """Wrap search._beaten, which only the element search calls, and
+    refuse the orbit search; the returned list gets one entry per call."""
+    calls = []
+    cut = search._beaten
+
+    def spy(prefix, translates):
+        calls.append(prefix)
+        return cut(prefix, translates)
+
+    monkeypatch.setattr(search, "_orbit_unions", refuse_orbit_search)
+    monkeypatch.setattr(search, "_beaten", spy)
+    return calls
+
+
+class TestElementSearch:
+    @pytest.mark.parametrize("limit", [None, 1, 2])
+    @pytest.mark.parametrize("v, k, lam", [(13, 4, 1), (19, 9, 4), (19, 10, 5),
+                                           (31, 6, 1)])
+    def test_prime_cyclic_without_multiplier_matches_seeded_search(
+            self, monkeypatch, v, k, lam, limit):
+        # with the multiplier maps withheld, a prime order leaves no
+        # normal subgroup N below v, so only the element search remains;
+        # (19, 10, 5) reaches it through its (19, 9, 4) complements
+        calls = element_search_spy(monkeypatch)
+        monkeypatch.setattr(search, "_multiplier_maps", lambda *args: [])
+        table = relabelled(cyclic_table(v), random.Random(v))
+        assert search._least_normal_subgroup(table, quotient_table(table)) is None
+        assert search_difference_sets(table, v, k, lam, limit) \
+            == seeded_search_difference_sets(table, v, k, lam, limit)
+        assert calls
+
+    @pytest.mark.parametrize("limit", [None, 1, 2])
+    @pytest.mark.parametrize("k, lam", [(6, 2), (10, 6)])
+    def test_dic4_without_quotient_matches_seeded_search(self, monkeypatch,
+                                                         k, lam, limit):
+        # a nonabelian table, where sd and ds differ, with N withheld
+        calls = element_search_spy(monkeypatch)
+        monkeypatch.setattr(search, "_least_normal_subgroup", lambda *args: None)
+        table = relabelled(DIC4, random.Random(16))
+        assert search_difference_sets(table, 16, k, lam, limit) \
+            == seeded_search_difference_sets(table, 16, k, lam, limit)
+        assert calls
