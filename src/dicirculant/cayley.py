@@ -18,7 +18,6 @@ from . import group
 ZERO_IN_R = "ZeroInR"
 R_NOT_SYMMETRIC = "RNotSymmetric"
 T_NOT_HALF_PERIODIC = "TNotHalfPeriodic"
-NOT_GENERATING = "NotGenerating"
 
 
 class SpecValidationError(ValueError):

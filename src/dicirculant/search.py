@@ -327,21 +327,12 @@ def search_difference_sets(table, v, k, lam, limit=None):
     minimal among all right-translates Dg are returned, in increasing
     order of that tuple.  `limit` takes a prefix of that full sorted
     answer; it never changes which search runs, nor shortens it.
-    Backtracking over k-subsets, each built in increasing order, with
-    partial difference-count pruning.
+    Backtracking over k-subsets with partial difference-count pruning,
+    by orbits of multipliers or coset by coset.
 
     For k = 1 and k >= v - 1 the answer is known: every such k-set is a
     difference set, the translates of one set are all of them, and the
     least is {0, ..., k - 1}.
-
-    The search starts from {0, 1}, because every returned set holds
-    both.  For d in D the translate Dd^-1 holds 0, and a tuple without
-    0 sorts after it.  For k >= 2, lam >= 1, so 1 = xy^-1 for some x, y
-    in D, and Dy^-1 holds {0, 1}.  For the same reason D is compared
-    only with the k - 1 translates Dd^-1, d in D minus 0: they are the
-    translates that hold 0, and any other sorts after D.  The argument
-    needs only a Latin square with identity 0, which
-    validate_group_table enforces.
 
     Two theorems answer [] before any search.  Let n = k - lam.
     Schuetzenberger (M. P. Schuetzenberger, "A non-existence theorem for
@@ -357,9 +348,9 @@ def search_difference_sets(table, v, k, lam, limit=None):
     2-groups", J. Combin. Theory Ser. A 63 (1993)) showed that every
     abelian group within the bound holds one.
 
-    Five cuts shrink the search.  Each one drops only branches that
-    hold no result, so the results are those of the search without
-    them.
+    Three cuts shrink the search.  Each one drops only branches that
+    hold no result, so the results are those of the backtracking over
+    all k-subsets.
 
     Complement.  (G - C)g = G - Cg, so the translate classes of the
     (v, k, lam) sets and of their complements, the (v, v - k,
@@ -388,23 +379,19 @@ def search_difference_sets(table, v, k, lam, limit=None):
     M-fixed set is a union of orbits of M, so the search picks orbits
     instead of elements: it keeps every M-fixed set, maps each to its
     least translate and keeps one least translate per class, sorted.
-    When every x -> x^t fixes every element, the orbits are single
-    elements and the search would lose the partial canonicity cut, so
-    it stays on the element search.
+    When every x -> x^t fixes every element, _multiplier_maps gives no
+    map and the search takes the quotient path.
 
     Quotient.  A search on a table with no multiplier map works on the
-    cosets of N = <g>, a normal subgroup of least prime order c < v,
-    and g the least element of order c that generates a normal
-    subgroup; a table with no such N keeps the element search.
-    A normal cyclic subgroup holds a normal subgroup of prime order, its
-    only one of that order, so N is a smallest normal cyclic subgroup:
-    the most cosets with the fewest elements each.  Mapping
-    DD^-1 = n + lam G onto G/N (E. S. Lander, Symmetric Designs, ch. 4;
-    L. D. Baumert, Cyclic Difference Sets, LNM 182 (1971)) gives the
-    counts x_b = |D n Nb| on the m = v/c cosets: sum x_b = k,
-    sum x_b^2 = n + lam c, and sum_b x_hb x_b = lam c for every coset
-    h != N, hb taken in G/N, which need not be abelian.  Right
-    translation by z maps D n Nb onto Dz n Nbz, so it permutes the
+    cosets of the normal subgroup N of _least_normal_subgroup, of order
+    c: the smallest proper normal closure of an element of least prime
+    order, or G itself, one coset, where no element has a proper one.
+    Mapping DD^-1 = n + lam G onto G/N (E. S. Lander, Symmetric
+    Designs, ch. 4; L. D. Baumert, Cyclic Difference Sets, LNM 182
+    (1971)) gives the counts x_b = |D n Nb| on the m = v/c cosets:
+    sum x_b = k, sum x_b^2 = n + lam c, and sum_b x_hb x_b = lam c for
+    every coset h != N, hb taken in G/N, which need not be abelian.
+    Right translation by z maps D n Nb onto Dz n Nbz, so it permutes the
     counts, and every translate class has a member whose largest count
     is on N; the image search keeps only count vectors with x_N
     largest.  It fills the cosets in order; with r cosets left, whose
@@ -421,29 +408,9 @@ def search_difference_sets(table, v, k, lam, limit=None):
     The lift chooses the cosets' elements in order of decreasing count,
     the full cosets first, with every difference count at most lam; a
     lift of k elements therefore counts each quotient lam times, as
-    below.  _least_translates keeps one least translate per class.
-
-    Forward checking.  A quotient s = xy^-1, x and y chosen, is
-    saturated once lam pairs give it; counts only grow deeper in the
-    tree, and yx^-1 = s^-1 has the same count, so the saturated
-    quotients stay saturated and are closed under inverses.  A
-    candidate y = sd, s saturated and d chosen, would take the count of
-    yd^-1 = s past lam; as dy^-1 = s^-1, blocking every such sd also
-    blocks every y with dy^-1 saturated.  Blocked candidates are
-    skipped, and a branch stops when fewer unblocked candidates remain
-    above the last choice than it still needs.
-
-    Partial canonicity.  Let P be the chosen prefix and top = max P;
-    every completion D adds only elements above top.  For y in P minus
-    0 let K = Py^-1 and q = min(K - P).  Suppose every element of P
-    below q is in K.  Then q < top: K has as many elements as P, so
-    some element of P is not in K, and it lies above q.  So below q the
-    set D holds only elements of P, each of them in K, which lies in
-    Dy^-1; and q is in Dy^-1 but not in D.  So Dy^-1 sorts before every
-    completion D, and the branch is cut.  At full length K = Dy^-1, and
-    the condition is exactly Dy^-1 < D, so a set that reaches k
-    elements is canonical.  Its counts are then all lam, as none
-    exceeds lam and they sum to k(k-1) = lam(v-1)."""
+    none exceeds lam and they sum to k(k-1) = lam(v-1).  On one coset
+    the only image is (k), and the lift is that backtracking from the
+    pinned 0.  _least_translates keeps one least translate per class."""
     check_ds_parameters(v, k, lam)
     classifier.validate_group_table(table)
     if len(table) != v:
@@ -467,9 +434,9 @@ def search_difference_sets(table, v, k, lam, limit=None):
 def _search(table, quot, v, k, lam):
     """The full sorted answer of search_difference_sets, on a table it
     has checked, with 2 <= k <= v - 2: the complement step, then the
-    orbit search, the quotient search or the element search.  The
-    complement parameters pass the same checks and exits, as they keep
-    v and n = k - lam, and satisfy 2 <= v - k <= v - 2."""
+    orbit search or the quotient search.  The complement parameters
+    pass the same checks and exits, as they keep v and n = k - lam, and
+    satisfy 2 <= v - k <= v - 2."""
     if k < v < 2 * k:
         complements = ([x for x in range(v) if x not in C]
                        for C in _search(table, quot, v, v - k, v - 2 * k + lam))
@@ -478,55 +445,7 @@ def _search(table, quot, v, k, lam):
     if maps:
         return _least_translates(quot, _orbit_unions(quot, k, lam, maps))
     normal = _least_normal_subgroup(table, quot)
-    if normal:
-        return _least_translates(quot, _quotient_lifts(table, quot, k, lam, normal))
-    quot_t = [list(col) for col in zip(*quot)]  # quot_t[y][x] = x y^-1
-    whole = (1 << v) - 1
-    results, counts, chosen, saturated = [], [0] * v, [0], []
-
-    def add(nxt, prefix, blocked, translates):
-        """Search every completion of chosen + [nxt].  `prefix` is the
-        bitset of chosen, `blocked` that of the blocked candidates and
-        translates[i] that of chosen * chosen[i]^-1 (the prefix itself
-        for chosen[0] = 0, which never cuts)."""
-        row, col = quot[nxt], quot_t[nxt]
-        outs = [row[d] for d in chosen]  # nxt d^-1
-        ins = [col[d] for d in chosen]  # d nxt^-1
-        deltas = outs + ins
-        for s in deltas:
-            counts[s] += 1
-        if all(counts[s] <= lam for s in deltas):
-            top = 1 << nxt
-            prefix |= top
-            translates = [t | 1 << s for t, s in zip(translates, outs)]
-            translates.append(sum(1 << s for s in ins) | 1)
-            if not _beaten(prefix, translates):
-                mark = len(saturated)
-                saturated.extend({s for s in deltas if counts[s] == lam})
-                for s in saturated:
-                    blocked |= 1 << table[s][nxt]
-                for s in saturated[mark:]:
-                    for d in chosen:
-                        blocked |= 1 << table[s][d]
-                chosen.append(nxt)
-                need = k - len(chosen)
-                if need == 0:
-                    results.append(frozenset(chosen))
-                else:
-                    free = whole & -(top << 1) & ~blocked  # unblocked, above nxt
-                    avail = free.bit_count()
-                    while avail >= need:
-                        low = free & -free
-                        add(low.bit_length() - 1, prefix, blocked, translates)
-                        free ^= low
-                        avail -= 1
-                chosen.pop()
-                del saturated[mark:]
-        for s in deltas:
-            counts[s] -= 1
-
-    add(1, 1, 0, [1])
-    return results
+    return _least_translates(quot, _quotient_lifts(table, quot, k, lam, normal))
 
 
 def _least_translates(quot, sets):
@@ -621,13 +540,7 @@ def _orbit_unions(quot, k, lam, maps):
     orbits, seen = [], set()
     for x in range(len(quot)):
         if x not in seen:
-            orbit, frontier = {x}, [x]
-            while frontier:
-                y = frontier.pop()
-                for image in (m[y] for m in maps):
-                    if image not in orbit:
-                        orbit.add(image)
-                        frontier.append(image)
+            orbit = _orbit(x, maps)
             seen |= orbit
             orbits.append(sorted(orbit))
     results, counts, chosen = [], [0] * len(quot), []
@@ -657,24 +570,41 @@ def _orbit_unions(quot, k, lam, maps):
     return results
 
 
+def _orbit(x, maps):
+    """The orbit of x under the group generated by the permutations
+    `maps`, each a list, as a set."""
+    orbit, frontier = {x}, [x]
+    while frontier:
+        y = frontier.pop()
+        for image in (m[y] for m in maps):
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
+
+
 def _least_normal_subgroup(table, quot):
-    """The elements of N = <g> in order of the powers of g, where the
-    order c of g is the least prime below v for which some element of
-    order c generates a normal subgroup, and g is the least such
-    element; None if no prime qualifies.  <g> is normal when every
-    conjugate x g x^-1 is a power of g."""
+    """N = <<g>>, the normal closure of an element g of prime order c:
+    the subgroup its conjugates x g x^-1 generate, sorted.  c is the
+    least prime below v at which some element of order c has a proper
+    closure, and g, of order c, has the smallest closure, the least g
+    on ties.  A closure holds <g>, so a normal <g> of order c, where one
+    exists, is the N.  The whole group when no prime qualifies, as for a
+    prime v or a simple group; the search then runs on one coset."""
     v = len(table)
     for c in _prime_factors(v):
         if c == v:
             break
-        for g in range(1, v):
-            powers = [0, g]
-            while len(powers) < c:
-                powers.append(table[powers[-1]][g])
-            if (table[powers[-1]][g] == 0
-                    and all(quot[table[x][g]][x] in powers for x in range(v))):
-                return powers
-    return None
+        # the closure of g is the orbit of 0 under left products by its
+        # conjugates quot[xg][x] = x g x^-1
+        closures = [_orbit(0, [table[s] for s in
+                               {quot[table[x][g]][x] for x in range(v)}])
+                    for g, power in enumerate(_power_map(table, c))
+                    if g and not power]
+        proper = [closure for closure in closures if len(closure) < v]
+        if proper:
+            return sorted(min(proper, key=len))
+    return list(range(v))
 
 
 def _quotient_lifts(table, quot, k, lam, normal):
@@ -753,7 +683,7 @@ def _coset_images(coset_quot, c, k, lam):
 
     def fill(i, rest, squares, top):
         if i == m:
-            if sums.count(target) == m - 1:
+            if not rest and sums.count(target) == m - 1:
                 images.append(tuple(x))
             return
         left = m - i - 1
@@ -792,15 +722,3 @@ def _coset_images(coset_quot, c, k, lam):
             fill(1, k - top, squares - top * top, top)
             placed.pop()
     return images
-
-
-def _beaten(prefix, translates):
-    """Whether some translate bitset t of the prefix bitset holds every
-    prefix element below q, the least element of t outside the prefix:
-    the partial canonicity cut of search_difference_sets."""
-    for t in translates:
-        q = t & ~prefix
-        q &= -q
-        if q and not prefix & (q - 1) & ~t:
-            return True
-    return False

@@ -2,8 +2,8 @@
 convolution on Z_m, the Cayley definition of the graph, a subgroup of
 each order, the complement of each proper subgroup class, the halved
 graphs of a bipartite graph, the coset-profile reconstruction of a DFT
-value and the difference-set search that starts from {0, 1} without
-further cuts.  Each one checks a faster or more specific routine of the
+value and the plain difference-set backtracking that starts from
+{0, 1}.  Each one checks a faster or more specific routine of the
 package."""
 
 import cmath
@@ -100,8 +100,8 @@ def profile_reconstruction(counts, m):
 
 
 def seeded_search_difference_sets(table, v, k, lam, limit=None):
-    """Oracle for search_difference_sets: the same search without its
-    complement switch, forward checking and partial canonicity.
+    """Oracle for search_difference_sets: a plain backtracking over the
+    elements, with none of its complement, multiplier and quotient cuts.
 
     All (v, k, lam) difference sets in the group given by `table`,
     up to right translation: only sets whose sorted index tuple is

@@ -1,8 +1,8 @@
-"""Dead-code guards: every module-level function and class in the package
-is named somewhere in the package besides its own definition, is public
-API, or is a benchmark pin; no module of the package or of the tests
-imports a name it never uses; and every name the benchmark's tracer
-looks up is still in the package."""
+"""Dead-code guards: every module-level function, class and assigned
+name in the package is named somewhere in the package besides its own
+definition, is public API, or is a benchmark pin; no module of the
+package or of the tests imports a name it never uses; and every name
+the benchmark's tracer looks up is still in the package."""
 
 import ast
 import collections
@@ -42,12 +42,25 @@ def _names(node):
         if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _definitions(tree):
+    """(name, node) for each module-level function, class and assigned
+    name of the module, dunder names left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id, name
+
+
 def test_every_definition_is_used_exported_or_an_oracle():
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     uses = sum((_names(tree) for tree in trees), collections.Counter())
-    unused = {node.name for tree in trees for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and uses[node.name] == _names(node)[node.name]}
+    unused = {name for tree in trees for name, node in _definitions(tree)
+              if uses[name] == _names(node)[name]}
     assert unused - set(dicirculant.__all__) == set(ORACLES)
 
 

@@ -722,12 +722,46 @@ def powers_of(table, g):
     return powers
 
 
+def permutation_table(perms):
+    """The table of the group of the permutations `perms` (tuples,
+    closed under composition, the identity first), with pq the
+    permutation i -> p[q[i]]."""
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[i] for i in q)] for q in perms] for p in perms]
+
+
 def symmetric_group_3():
     """The table of S_3, its permutations numbered in lexicographic
     order, so 0 is the identity."""
-    perms = list(itertools.permutations(range(3)))
-    return [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms]
-            for p in perms]
+    return permutation_table(list(itertools.permutations(range(3))))
+
+
+def alternating_group_4():
+    """The table of A_4, its even permutations numbered in lexicographic
+    order, so 0 is the identity."""
+    return permutation_table([p for p in itertools.permutations(range(4))
+                              if sum(p[i] > p[j] for j in range(4)
+                                     for i in range(j)) % 2 == 0])
+
+
+def dihedral_group_8():
+    """The table of the symmetries of a square, the permutations of its
+    corners 0..3 that keep neighbours neighbours, numbered in
+    lexicographic order, so 0 is the identity and 5 the half turn."""
+    return permutation_table([p for p in itertools.permutations(range(4))
+                              if all((p[(i + 1) % 4] - p[i]) % 2 for i in range(4))])
+
+
+def frobenius_56():
+    """The table of the Frobenius group Z_2^3 : Z_7: the pairs (a, i),
+    a in F_8 = F_2[w] / (w^3 + w + 1) and i in Z_7, numbered a + 8i,
+    with (a, i)(b, j) = (a + w^i b, i + j).  Its normal subgroup Z_2^3
+    is 0..7, and it has no other proper normal subgroup."""
+    scaled = [list(range(8))]  # scaled[i][b] = w^i b
+    for _ in range(6):
+        scaled.append([b << 1 ^ 0b1011 if b & 4 else b << 1 for b in scaled[-1]])
+    return [[(a ^ scaled[i][b]) + 8 * ((i + j) % 7) for j in range(7) for b in range(8)]
+            for i in range(7) for a in range(8)]
 
 
 def brute_force_images(coset_quot, c, k, lam):
@@ -751,7 +785,8 @@ def brute_force_images(coset_quot, c, k, lam):
 DIC4 = group.multiplication_table(4)[0]
 
 # group, generator of N, v and the (k, lam) tried; the quotients have
-# m <= 8 cosets, and Dic4 / <a^4> is the dihedral group of order 8
+# m <= 8 cosets, Dic4 / <a^4> is the dihedral group of order 8, and
+# Z7 / <1> has one coset
 QUOTIENTS = {
     "Dic4/<a^4>": (DIC4, 4, [(6, 2), (10, 6), (5, 1), (7, 3)]),
     "Dic4/<a^2>": (DIC4, 2, [(6, 2), (10, 6)]),
@@ -763,6 +798,7 @@ QUOTIENTS = {
     "Z15/<3>": (cyclic_table(15), 3, [(7, 3), (8, 4)]),
     "Z21/<7>": (cyclic_table(21), 7, [(5, 1), (16, 12)]),
     "S3/A3": (symmetric_group_3(), 3, [(5, 4), (2, 1)]),
+    "Z7/<1>": (cyclic_table(7), 1, [(3, 1), (4, 2)]),
 }
 
 
@@ -797,13 +833,20 @@ class TestQuotientPath:
         assert search_difference_sets(DIC4, 16, 6, 2, limit=1) == everything[:1]
         assert calls == [2]
 
-    @pytest.mark.parametrize("table, v, k, lam, g", [
-        (DIC4, 16, 6, 2, 2), (DIC4, 16, 10, 6, 1), (cyclic_table(45), 45, 12, 3, 9),
-        (abelian_table(3, 3, 3), 27, 13, 6, 1), (abelian_table(4, 4), 16, 6, 2, 1),
-    ], ids=["Dic4/<a^2>", "Dic4/<a>", "Z45/<9>", "Z3^3/<1>", "Z4xZ4/<1>"])
-    def test_every_normal_subgroup_gives_the_same_classes(self, table, v, k, lam, g):
+    @pytest.mark.parametrize("table, v, k, lam, normal", [
+        (DIC4, 16, 6, 2, powers_of(DIC4, 2)), (DIC4, 16, 10, 6, powers_of(DIC4, 1)),
+        (cyclic_table(45), 45, 12, 3, powers_of(cyclic_table(45), 9)),
+        (abelian_table(3, 3, 3), 27, 13, 6, [0, 1, 2]),
+        (abelian_table(4, 4), 16, 6, 2, [0, 1, 2, 3]),
+        (abelian_table(4, 4), 16, 6, 2, [0, 2, 8, 10]),
+        (abelian_table(2, 2, 2, 2), 16, 6, 2, [0, 1, 2, 3]),
+        (abelian_table(3, 3, 3), 27, 13, 6, list(range(9))),
+    ], ids=["Dic4/<a^2>", "Dic4/<a>", "Z45/<9>", "Z3^3/<1>", "Z4xZ4/<1>",
+            "Z4xZ4/{0,2}^2", "Z2^4/Z2^2", "Z3^3/Z3^2"])
+    def test_every_normal_subgroup_gives_the_same_classes(self, table, v, k, lam, normal):
+        # the last three N are not cyclic
         quot = quotient_table(table)
-        lifts = search._quotient_lifts(table, quot, k, lam, powers_of(table, g))
+        lifts = search._quotient_lifts(table, quot, k, lam, normal)
         assert search._least_translates(quot, lifts) \
             == search_difference_sets(table, v, k, lam)
 
@@ -817,15 +860,30 @@ class TestQuotientPath:
             assert search_difference_sets(cyclic_table(45), 45, 12, 3, limit) == []
             assert calls == [3]
 
+    def test_frobenius_56_11_2_has_no_set(self, monkeypatch):
+        # Z_2^3 : Z_7 has no multiplier map and no normal subgroup of
+        # prime order; on the 7 cosets of Z_2^3 no image lifts to a set.
+        # Cross-check: a backtracking over single elements with forward
+        # checking and partial canonicity found the same [] in 16 s
+        calls = quotient_spy(monkeypatch)
+        assert search_difference_sets(frobenius_56(), 56, 11, 2) == []
+        assert calls == [8]
+
     @pytest.mark.parametrize("table, normal", [
         (DIC4, [0, 4]), (group.multiplication_table(2)[0], [0, 2]),
         (group.multiplication_table(9)[0], [0, 9]),
         (cyclic_table(45), [0, 15, 30]), (abelian_table(3, 3, 3), [0, 1, 2]),
-        (symmetric_group_3(), [0, 3, 4]), (cyclic_table(7), None)],
-        ids=["Dic4", "Dic2", "Dic9", "Z45", "Z3^3", "S3", "Z7"])
+        (symmetric_group_3(), [0, 3, 4]), (cyclic_table(7), list(range(7))),
+        (frobenius_56(), list(range(8))), (alternating_group_4(), [0, 3, 8, 11]),
+        (dihedral_group_8(), [0, 5])],
+        ids=["Dic4", "Dic2", "Dic9", "Z45", "Z3^3", "S3", "Z7", "Z2^3:Z7", "A4", "D4"])
     def test_least_normal_subgroup(self, table, normal):
         # a^n, of order 2, spans the centre of Dic_n; in S_3 no subgroup
-        # of order 2 is normal; Z_7 has no proper subgroup
+        # of order 2 is normal; Z_7 has no proper subgroup, so N is all
+        # of it; in Z_2^3 : Z_7 and A_4 no element generates a normal
+        # subgroup, and the closure of an element of order 2 is Z_2^3 and
+        # the Klein four-group V_4; in D_4 a reflection's closure has 4
+        # elements, and the smallest closure is the centre
         assert search._least_normal_subgroup(table, quotient_table(table)) == normal
 
     def test_least_normal_subgroup_in_any_labels(self):
@@ -858,46 +916,36 @@ class TestQuotientPath:
         assert seen > 0
 
 
-def element_search_spy(monkeypatch):
-    """Wrap search._beaten, which only the element search calls, and
-    refuse the orbit search; the returned list gets one entry per call."""
-    calls = []
-    cut = search._beaten
-
-    def spy(prefix, translates):
-        calls.append(prefix)
-        return cut(prefix, translates)
-
-    monkeypatch.setattr(search, "_orbit_unions", refuse_orbit_search)
-    monkeypatch.setattr(search, "_beaten", spy)
-    return calls
-
-
 class TestElementSearch:
+    """The quotient path on one coset, N = G: its only image is (k), and
+    its lift is a backtracking over the elements from the pinned 0."""
+
     @pytest.mark.parametrize("limit", [None, 1, 2])
     @pytest.mark.parametrize("v, k, lam", [(13, 4, 1), (19, 9, 4), (19, 10, 5),
                                            (31, 6, 1)])
     def test_prime_cyclic_without_multiplier_matches_seeded_search(
             self, monkeypatch, v, k, lam, limit):
         # with the multiplier maps withheld, a prime order leaves no
-        # normal subgroup N below v, so only the element search remains;
+        # proper normal subgroup, so the search runs on one coset;
         # (19, 10, 5) reaches it through its (19, 9, 4) complements
-        calls = element_search_spy(monkeypatch)
+        calls = quotient_spy(monkeypatch)
         monkeypatch.setattr(search, "_multiplier_maps", lambda *args: [])
         table = relabelled(cyclic_table(v), random.Random(v))
-        assert search._least_normal_subgroup(table, quotient_table(table)) is None
+        assert search._least_normal_subgroup(table, quotient_table(table)) \
+            == list(range(v))
         assert search_difference_sets(table, v, k, lam, limit) \
             == seeded_search_difference_sets(table, v, k, lam, limit)
-        assert calls
+        assert calls == [v]
 
     @pytest.mark.parametrize("limit", [None, 1, 2])
     @pytest.mark.parametrize("k, lam", [(6, 2), (10, 6)])
     def test_dic4_without_quotient_matches_seeded_search(self, monkeypatch,
                                                          k, lam, limit):
-        # a nonabelian table, where sd and ds differ, with N withheld
-        calls = element_search_spy(monkeypatch)
-        monkeypatch.setattr(search, "_least_normal_subgroup", lambda *args: None)
+        # a nonabelian table, where sd and ds differ, with N forced to G
+        calls = quotient_spy(monkeypatch)
+        monkeypatch.setattr(search, "_least_normal_subgroup",
+                            lambda table, quot: list(range(len(table))))
         table = relabelled(DIC4, random.Random(16))
         assert search_difference_sets(table, 16, k, lam, limit) \
             == seeded_search_difference_sets(table, 16, k, lam, limit)
-        assert calls
+        assert calls == [16]
