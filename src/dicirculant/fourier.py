@@ -93,12 +93,12 @@ def check_fourier_lemma(spec, dp, array):
     the identities then degenerate to the complete-graph counting.
     """
     m = 2 * spec.n
-    mu = array.mu if array.mu is not None else 0
+    k, lam, mu = array.k, array.lam, array.mu or 0
     R2, T2 = (dp.r_sets[2], dp.t_sets[2]) if dp.diameter >= 2 else ((), ())
     rot_r, rot_t = rotations(spec.R, m), rotations(spec.T, m)
     r, t = rot_r[0], rot_t[0]
     return all(
         (r & rot_r[z]).bit_count() + (t & rot_t[z]).bit_count()
-        == (z == 0) * array.k + array.lam * (z in spec.R) + mu * (z in R2)
+        == (z == 0) * k + lam * (z in spec.R) + mu * (z in R2)
         and 2 * (t & rot_r[z]).bit_count()
-        == array.lam * (z in spec.T) + mu * (z in T2) for z in range(m))
+        == lam * (z in spec.T) + mu * (z in T2) for z in range(m))

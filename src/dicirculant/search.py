@@ -334,6 +334,16 @@ def search_difference_sets(table, v, k, lam, limit=None):
     difference set, the translates of one set are all of them, and the
     least is {0, ..., k - 1}.
 
+    The least translate holds 0, as Dd^-1 holds 0 for d in D and a tuple
+    without 0 sorts after it.  Of two distinct sets of one size, the one
+    holding the least element of their symmetric difference sorts first,
+    so _least_translates finds it label by label: of the k translates
+    Dd^-1, it keeps for g = 1, 2, ... those that hold g whenever one
+    does, and sorts only the one left.  For 2 <= k <= v - 2, lam >= 1
+    and g = 1 is xd^-1 for exactly lam pairs x, d in D, so lam
+    translates survive g = 1 and the least holds 0 and 1 (L. D.
+    Baumert, Cyclic Difference Sets, LNM 182 (1971)).
+
     Two theorems answer [] before any search.  Let n = k - lam.
     Schuetzenberger (M. P. Schuetzenberger, "A non-existence theorem for
     an infinite family of symmetrical block designs", Ann. Eugenics 14
@@ -355,8 +365,8 @@ def search_difference_sets(table, v, k, lam, limit=None):
     Complement.  (G - C)g = G - Cg, so the translate classes of the
     (v, k, lam) sets and of their complements, the (v, v - k,
     v - 2k + lam) sets, correspond one to one.  A search with
-    k < v < 2k searches the complement parameters instead and returns
-    the least translate of each found set's complement, sorted.
+    k < v < 2k searches the complement parameters instead, complements
+    each set it finds and returns their least translates, sorted.
 
     Multiplier.  The Second Multiplier Theorem (E. S. Lander, Symmetric
     Designs: An Algebraic Approach, Cambridge University Press (1983);
@@ -433,27 +443,51 @@ def search_difference_sets(table, v, k, lam, limit=None):
 
 def _search(table, quot, v, k, lam):
     """The full sorted answer of search_difference_sets, on a table it
-    has checked, with 2 <= k <= v - 2: the complement step, then the
-    orbit search or the quotient search.  The complement parameters
+    has checked, with 2 <= k <= v - 2: the orbit search or the quotient
+    search, on the complement parameters when k < v < 2k, and one
+    _least_translates over everything found.  The complement parameters
     pass the same checks and exits, as they keep v and n = k - lam, and
     satisfy 2 <= v - k <= v - 2."""
     if k < v < 2 * k:
-        complements = ([x for x in range(v) if x not in C]
-                       for C in _search(table, quot, v, v - k, v - 2 * k + lam))
-        return _least_translates(quot, complements)
-    maps = _multiplier_maps(table, v, k, lam)
+        everything = set(range(v))
+        sets = [everything.difference(C)
+                for C in _candidates(table, quot, v - k, v - 2 * k + lam)]
+    else:
+        sets = _candidates(table, quot, k, lam)
+    return _least_translates(table, quot, sets)
+
+
+def _candidates(table, quot, k, lam):
+    """At least one member of every translate class of (v, k, lam) sets,
+    as lists: the orbit unions when a multiplier map serves, otherwise
+    the lifts of the quotient images."""
+    maps = _multiplier_maps(table, len(table), k, lam)
     if maps:
-        return _least_translates(quot, _orbit_unions(quot, k, lam, maps))
-    normal = _least_normal_subgroup(table, quot)
-    return _least_translates(quot, _quotient_lifts(table, quot, k, lam, normal))
+        return _orbit_unions(quot, k, lam, maps)
+    return _quotient_lifts(table, quot, k, lam, _least_normal_subgroup(table, quot))
 
 
-def _least_translates(quot, sets):
-    """The least right translate of each set D, the least of the
-    translates Dy^-1, y in D, which hold 0; one per translate class, as
-    sets of the same class share it, in increasing order of its sorted
-    tuple."""
-    least = {min(tuple(sorted(quot[x][y] for x in D)) for y in D) for D in sets}
+def _least_translates(table, quot, sets):
+    """The least right translate of each set D, one per translate class,
+    as sets of the same class share it, in increasing order of its
+    sorted tuple.  Of the translates Dy^-1, y in D, which hold 0, the
+    least holds g for g = 1, 2, ... whenever one still running does
+    (search_difference_sets); g is in Dy^-1 when gy is in D.  The
+    running y narrow until one is left, or g passes v - 1 and those
+    left give one translate; only that translate is built and sorted."""
+    least = set()
+    for D in sets:
+        members = set(D)
+        running = list(members)
+        for g in range(1, len(table)):
+            if len(running) == 1:
+                break
+            row = table[g]
+            kept = [y for y in running if row[y] in members]
+            if kept:
+                running = kept
+        y = running[0]
+        least.add(tuple(sorted([quot[x][y] for x in members])))
     return [frozenset(D) for D in sorted(least)]
 
 

@@ -2,8 +2,8 @@
 convolution on Z_m, the Cayley definition of the graph, a subgroup of
 each order, the complement of each proper subgroup class, the halved
 graphs of a bipartite graph, the coset-profile reconstruction of a DFT
-value and the plain difference-set backtracking that starts from
-{0, 1}.  Each one checks a faster or more specific routine of the
+value, the plain difference-set backtracking that starts from {0, 1}
+and the least translate by sorting every translate that holds 0.  Each one checks a faster or more specific routine of the
 package."""
 
 import cmath
@@ -160,3 +160,12 @@ def seeded_search_difference_sets(table, v, k, lam, limit=None):
 
     extend(len(chosen))
     return results
+
+
+def sorted_least_translates(quot, sets):
+    """Oracle for search._least_translates: the least right translate of
+    each set D, the least of the translates Dy^-1, y in D, which hold 0,
+    each built and sorted; one per translate class, in increasing order
+    of its sorted tuple.  quot[x][y] = x y^-1."""
+    least = {min(tuple(sorted(quot[x][y] for x in D)) for y in D) for D in sets}
+    return [frozenset(D) for D in sorted(least)]

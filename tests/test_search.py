@@ -16,7 +16,8 @@ from dicirculant.classifier import cyclic_table
 from dicirculant.metrics import is_distance_regular
 from dicirculant.search import (ParameterContradictionError, enumerate_specs,
                                 search_difference_sets, survey)
-from oracles import seeded_search_difference_sets, subgroup_complements
+from oracles import (seeded_search_difference_sets, sorted_least_translates,
+                     subgroup_complements)
 
 
 def orbit_representatives(n):
@@ -847,7 +848,7 @@ class TestQuotientPath:
         # the last three N are not cyclic
         quot = quotient_table(table)
         lifts = search._quotient_lifts(table, quot, k, lam, normal)
-        assert search._least_translates(quot, lifts) \
+        assert search._least_translates(table, quot, lifts) \
             == search_difference_sets(table, v, k, lam)
 
     def test_cyclic_45_12_3_has_no_set(self, monkeypatch):
@@ -949,3 +950,87 @@ class TestElementSearch:
         assert search_difference_sets(table, 16, k, lam, limit) \
             == seeded_search_difference_sets(table, 16, k, lam, limit)
         assert calls == [16]
+
+
+def translate_tables():
+    """Relabelled Z_v for v <= 31, Dic_4, Z_4 x Z_4, Z_2^4 and Z_3^3."""
+    rng = random.Random(31)
+    for v in range(2, 32):
+        yield f"Z{v}", relabelled(cyclic_table(v), rng)
+    for name, table in (("Dic4", DIC4), ("Z4xZ4", abelian_table(4, 4)),
+                        ("Z2^4", abelian_table(2, 2, 2, 2)),
+                        ("Z3^3", abelian_table(3, 3, 3))):
+        yield name, relabelled(table, rng)
+
+
+def candidate_lists(table):
+    """Every candidate list the search ranks on `table`: for each
+    admissible (k, lam) with 2 <= k <= v / 2, the orbit unions or the
+    quotient lifts of _candidates, and their complements, which a
+    (v, v - k, v - 2k + lam) search ranks."""
+    v, quot = len(table), quotient_table(table)
+    for k, lam in admissible_parameters(v):
+        if 2 <= k <= v // 2:
+            sets = search._candidates(table, quot, k, lam)
+            yield (k, lam), sets
+            yield (v - k, v - 2 * k + lam), [[x for x in range(v) if x not in D]
+                                             for D in sets]
+
+
+def left_coset_unions(table, rng):
+    """Unions of left cosets xH of a cyclic subgroup H = <g>, g != 0: each
+    is fixed by right translation by every element of H."""
+    v = len(table)
+    H = powers_of(table, rng.randrange(1, v))
+    cosets = {frozenset(table[x][h] for h in H) for x in range(v)}
+    cosets = sorted(map(sorted, cosets))
+    for size in range(1, len(cosets) + 1):
+        yield [x for coset in rng.sample(cosets, size) for x in coset]
+
+
+class TestLeastTranslates:
+    def test_candidate_lists_match_sorting_oracle(self):
+        mismatches, seen = [], 0
+        for name, table in translate_tables():
+            quot = quotient_table(table)
+            for params, sets in candidate_lists(table):
+                seen += len(sets)
+                if search._least_translates(table, quot, sets) \
+                        != sorted_least_translates(quot, sets):
+                    mismatches.append((name, params))
+        assert mismatches == []
+        assert seen > 1000
+
+    def test_random_sets_match_sorting_oracle(self):
+        # any subsets, most of them no difference set, and unions of left
+        # cosets, whose translates coincide, so the narrowing runs out
+        rng = random.Random(30)
+        mismatches = []
+        for name, table in translate_tables():
+            v, quot = len(table), quotient_table(table)
+            sets = [rng.sample(range(v), rng.randint(1, v)) for _ in range(40)]
+            for _ in range(4):
+                sets += left_coset_unions(table, rng)
+            for D in sets:
+                if search._least_translates(table, quot, [D]) \
+                        != sorted_least_translates(quot, [D]):
+                    mismatches.append((name, sorted(D)))
+            if search._least_translates(table, quot, sets) \
+                    != sorted_least_translates(quot, sets):
+                mismatches.append((name, "all"))
+        assert mismatches == []
+
+    def test_found_sets_hold_0_and_1(self):
+        # lam >= 1 for 2 <= k <= v - 2, so 1 = xy^-1 for exactly lam pairs
+        # of D, and exactly lam of the translates Dy^-1, y in D, hold 1
+        checked = 0
+        for label, table, v, k, lam in oracle_cases(max_v=20, max_n=5):
+            if not 2 <= k <= v - 2:
+                continue
+            quot = quotient_table(table)
+            for D in search_difference_sets(table, v, k, lam):
+                assert {0, 1} <= D, (label, v, k, lam)
+                assert sum(1 in {quot[x][y] for x in D} for y in D) == lam, \
+                    (label, v, k, lam)
+                checked += 1
+        assert checked > 0
