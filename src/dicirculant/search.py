@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from itertools import chain, product
 from math import gcd, isqrt
 
@@ -84,9 +84,10 @@ def _class_masks(n, r_order, t_order):
     The least key of an orbit has the least R of its u-orbit, and then
     the least T under the maps that fix that R.  So the R masks are
     walked in key order, the first unmarked one of each u-orbit is kept
-    and its images marked.  For a kept R the T masks are walked in key
-    order, in a 2^n bytearray of its own: the first unmarked one is
-    kept, and its images under the maps that fix R are marked.
+    and its images marked.  The T masks kept for an R depend only on the
+    set of maps that fix it, and few such sets occur (1 to 4 for
+    n <= 14), so _least_t_masks walks the T masks once per distinct set
+    and the list serves every later R with the same set.
     """
     m = 2 * n
     # (u, v) moves R pair i to the pair holding u*i and T pair i to
@@ -102,6 +103,7 @@ def _class_masks(n, r_order, t_order):
     typecode = "H" if n <= 16 else "Q"
     images = {perm: array(typecode, _subset_unions([1 << b for b in perm], 0))
               for perm in set(chain.from_iterable(maps))}
+    t_kept = {}
     r_marked = bytearray(1 << n)
     for r_mask in r_order:
         if r_marked[r_mask]:
@@ -112,14 +114,27 @@ def _class_masks(n, r_order, t_order):
             r_marked[image] = 1
             if image == r_mask:
                 fixing.add(t_perm)
-        t_tables = [images[t_perm] for t_perm in fixing]
-        t_marked = bytearray(1 << n)
-        for t_mask in t_order:
-            if t_marked[t_mask]:
-                continue
+        key = frozenset(fixing)
+        if key not in t_kept:
+            t_kept[key] = _least_t_masks(
+                t_order, [images[t_perm] for t_perm in fixing])
+        for t_mask in t_kept[key]:
             yield r_mask, t_mask
-            for t_table in t_tables:
-                t_marked[t_table[t_mask]] = 1
+
+
+def _least_t_masks(t_order, t_tables):
+    """The T masks, in key order, that come first in their orbit under
+    the mask permutations `t_tables`: each unmarked mask is kept and its
+    images marked, in a 2^n bytearray."""
+    t_marked = bytearray(len(t_order))
+    kept = []
+    for t_mask in t_order:
+        if t_marked[t_mask]:
+            continue
+        kept.append(t_mask)
+        for t_table in t_tables:
+            t_marked[t_table[t_mask]] = 1
+    return kept
 
 
 @dataclass(frozen=True)
@@ -266,21 +281,26 @@ def survey_rows(n, dedup=True):
     dedup), in key order, one row at a time.  A connected spec whose
     level 1 is not uniform gets its row from _level_one_witness, and
     builds no graph; every other spec goes to evaluate_spec.  The
-    rotation lists of each R and T set are made once, by a memo local to
-    the call."""
-    rotations_of = cache(partial(rotations, m=2 * n))
+    rotation list and the sorted members of each R and T set are made
+    once, by a memo local to the call."""
+    m = 2 * n
+
+    @cache
+    def level_one_data(A):
+        return rotations(A, m), sorted(A)
+
     for spec in enumerate_specs(n, dedup):
         witness = spec.connected and _level_one_witness(
-            spec, rotations_of(spec.R), rotations_of(spec.T))
+            spec, level_one_data(spec.R), level_one_data(spec.T))
         yield (SpecRow(spec, False, None, classify(spec), witness=witness)
                if witness else evaluate_spec(spec))
 
 
-def _level_one_witness(spec, rot_r, rot_t):
+def _level_one_witness(spec, r, t):
     """The NotDRGWitness that is_distance_regular gives for the
     connected `spec` when two vertices at distance 1 from the identity
-    have unequal (c, a, b), else None.  rot_r and rot_t are the rotation
-    lists of R and T, rot[x] the mask of x + R or x + T.
+    have unequal (c, a, b), else None.  r and t are (rotation list,
+    sorted members) of R and T, rot[x] the mask of x + R or x + T.
 
     In a Cayley graph of degree k a vertex at distance 1 has c = 1 and
     b = k - 1 - a, where a counts its common neighbours with the
@@ -288,20 +308,32 @@ def _level_one_witness(spec, rot_r, rot_t):
     |R n (x - T)| + |T n (x + R)| = 2|T n (x + R)| for a^x b, x in T,
     as R = -R.  The BFS meets level 1 in vertex order, R ascending and
     then 2n + T ascending, and its witness is the first vertex whose
-    triple differs from the first vertex's."""
-    m = 2 * spec.n
+    triple differs from the first vertex's: the first of R, or of T
+    when R is empty."""
+    (rot_r, sorted_r), (rot_t, sorted_t) = r, t
     r_mask, t_mask = rot_r[0], rot_t[0]
-    level = chain(((x, (rot_r[x] & r_mask).bit_count()
-                    + (rot_t[x] & t_mask).bit_count()) for x in sorted(spec.R)),
-                  ((m + x, 2 * (rot_r[x] & t_mask).bit_count())
-                   for x in sorted(spec.T)))
-    _, first = next(level)
-    for v, a in level:
+    first = None
+    for x in sorted_r:
+        a = (rot_r[x] & r_mask).bit_count() + (rot_t[x] & t_mask).bit_count()
         if a != first:
-            k = spec.degree
-            return NotDRGWitness(0, v, 1, (1, first, k - 1 - first),
-                                 (1, a, k - 1 - a))
+            if first is not None:
+                return _unequal_level_one(spec, x, first, a)
+            first = a
+    m = 2 * spec.n
+    for x in sorted_t:
+        a = 2 * (rot_r[x] & t_mask).bit_count()
+        if a != first:
+            if first is not None:
+                return _unequal_level_one(spec, m + x, first, a)
+            first = a
     return None
+
+
+def _unequal_level_one(spec, v, first, a):
+    """The witness that level-1 vertex v has a common neighbours with
+    the identity where the first level-1 vertex has `first`."""
+    k = spec.degree
+    return NotDRGWitness(0, v, 1, (1, first, k - 1 - first), (1, a, k - 1 - a))
 
 
 def check_ds_parameters(v, k, lam):

@@ -169,7 +169,7 @@ class TestSurvey:
         assert code == EXIT_USAGE and out == ""
         assert "not allowed with" in err
 
-    @pytest.mark.parametrize("argv", [["--n", "14"], ["--n-range", "1..14"]])
+    @pytest.mark.parametrize("argv", [["--n", "15"], ["--n-range", "1..15"]])
     def test_oversized_n_is_usage_error(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
             raise AssertionError("enumerated despite the size bound")
@@ -177,7 +177,7 @@ class TestSurvey:
         monkeypatch.setattr(search, "enumerate_specs", refuse)
         code, out, err = run(capsys, "survey", *argv)
         assert code == EXIT_USAGE and out == ""
-        assert f"{4 ** 14:,} specs" in err
+        assert f"{4 ** 15:,} specs" in err
 
     @pytest.mark.parametrize("argv", [
         ["--n", "10000"], ["--n-range", "1..10000"], ["--n-range", "1..1000000"],
@@ -199,16 +199,16 @@ class TestSurvey:
         assert f"n = {argv[-1].split('..')[-1]} means 4^" in err
         assert peak < 1_000_000
 
-    def test_n13_is_accepted(self, capsys, monkeypatch):
+    def test_n14_is_accepted(self, capsys, monkeypatch):
         surveyed = []
 
         def stub(n, dedup=True):
             surveyed.append((n, dedup))
             return search.SurveyReport(n=n)
         monkeypatch.setattr(search, "survey", stub)
-        code, out, _ = run(capsys, "survey", "--n", "13", "--format", "json")
-        assert code == EXIT_OK and surveyed == [(13, True)]
-        assert json.loads(out)["surveys"][0]["n"] == 13
+        code, out, _ = run(capsys, "survey", "--n", "14", "--format", "json")
+        assert code == EXIT_OK and surveyed == [(14, True)]
+        assert json.loads(out)["surveys"][0]["n"] == 14
 
     @pytest.mark.parametrize("argv", [["--n", "9"], ["--n-range", "1..9"]])
     def test_oversized_no_dedup_is_usage_error(self, capsys, monkeypatch, argv):

@@ -175,6 +175,20 @@ class TestEnumeration:
         assert [(s.sorted_sets(), s.connected)
                 for s in enumerate_specs(n)] == expected
 
+    def test_t_walk_runs_once_per_fixing_set(self, monkeypatch):
+        # n = 8 keeps 88 R masks, and the maps that fix them form only
+        # 2 distinct sets; the kept T list of each set is walked once
+        walk, walks = search._least_t_masks, []
+
+        def spy(t_order, t_tables):
+            walks.append(frozenset(map(bytes, t_tables)))
+            return walk(t_order, t_tables)
+
+        monkeypatch.setattr(search, "_least_t_masks", spy)
+        specs = list(enumerate_specs(8))
+        assert len({spec.R for spec in specs}) == 88
+        assert len(walks) == len(set(walks)) == 2
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_no_dedup_yields_every_spec_in_key_order(self, n):
         keys = [s.sorted_sets() for s in enumerate_specs(n, dedup=False)]
@@ -266,6 +280,21 @@ class TestSurvey:
             == sorted(row.spec.sorted_sets() for row in rows)
         for row in rows:
             assert row == search.evaluate_spec(row.spec)
+
+    def test_level_one_data_made_once_per_set(self, monkeypatch):
+        # n = 6 has 546 connected classes over 60 distinct R or T sets
+        # (48 R and 12 T); each set's rotation list is made once
+        rotate, made = search.rotations, []
+
+        def spy(A, m):
+            made.append(A)
+            return rotate(A, m)
+
+        monkeypatch.setattr(search, "rotations", spy)
+        specs = [row.spec for row in search.survey_rows(6) if row.spec.connected]
+        sets = {spec.R for spec in specs} | {spec.T for spec in specs}
+        assert (len(specs), len(sets)) == (546, 60)
+        assert len(made) == len(set(made)) and set(made) == sets
 
     def test_deterministic_json(self):
         a = json.dumps(survey(3).to_dict(), sort_keys=True)
